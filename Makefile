@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-arbiters bench-check cover cover-check fmt vet figures
+.PHONY: build test race bench bench-arbiters bench-router bench-check cover cover-check fmt vet figures
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,9 @@ race:
 # semaphore and drain flag under concurrent requests), and the bitplane
 # arbitration kernels (the parallel differential suite drives every
 # word-parallel kernel against its scalar reference from concurrent
-# subtests, racing the shared mask/scratch code paths), and the spatial
+# subtests, racing the shared mask/scratch code paths), the router-side
+# masks (the router differential suite runs the mask-driven LA stage
+# beside its scalar reference from concurrent subtests), and the spatial
 # sharding assembly (per-band engine workers spinning on the wavefront's
 # publish flags, the PostBuffer flush, per-shard flight slots, and the
 # checker's per-router scratch under concurrent edge ticks).
@@ -36,7 +38,7 @@ race-pools:
 	$(GO) test -race -count=1 -run 'Differential|Matrix|Bitplane' ./internal/core
 	$(GO) test -race -count=1 ./internal/check ./internal/obs ./internal/topology
 	$(GO) test -race -count=1 -run 'Replicated|CheckedRunMatches|Metrics|TorusSharded' ./internal/experiment
-	$(GO) test -race -count=1 -run 'Metrics|Flight' ./internal/router
+	$(GO) test -race -count=1 -run 'Metrics|Flight|Differential' ./internal/router
 	$(GO) test -race -count=1 ./internal/fleet
 	$(GO) test -race -count=1 -run 'Metrics|Pprof|Shard|Drain|Healthz|BodyLimit' ./cmd/sweepd
 
@@ -59,6 +61,11 @@ bench:
 # kernels and their retained scalar references side by side).
 bench-arbiters:
 	$(GO) test ./internal/core -run '^$$' -bench 'Arbitrate' -benchmem
+
+# bench-router runs the per-layer router-tick microbenchmarks: one SPAA
+# or PIM1/WFA cycle of a single router held at saturation.
+bench-router:
+	$(GO) test ./internal/router -run '^$$' -bench 'Tick' -benchmem
 
 # bench-check compares a fresh run against the committed baseline and
 # fails on >15% calibration-normalized regression in ns/simulated-cycle

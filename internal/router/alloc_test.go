@@ -13,10 +13,14 @@ import (
 // TestRouterTickAllocs pins the router's steady-state allocation budget:
 // once the packet slab and scratch slices have reached their high-water
 // marks, injecting, arbitrating, and dispatching packets must not
-// allocate. Packets are self-addressed so the whole life cycle (inject,
-// SPAA nomination, grant, local delivery) runs inside one router.
+// allocate. Two traffic shapes run per kind: self-addressed injections,
+// whose whole life cycle (inject, nomination or wave, grant, local
+// delivery) runs inside one router, and the saturated network rig
+// (arrivals against upstream credits, dispatches reserving downstream
+// credits on connected links), which drives the mask upkeep in Arrive,
+// dispatch and the credit paths.
 func TestRouterTickAllocs(t *testing.T) {
-	for _, kind := range []core.Kind{core.KindSPAABase, core.KindPIM1} {
+	for _, kind := range []core.Kind{core.KindSPAABase, core.KindSPAARotary, core.KindPIM1, core.KindWFARotary} {
 		torus := topology.NewTorus(4, 4)
 		cfg := DefaultConfig(kind)
 		r, err := New(cfg, 5, torus)
@@ -47,9 +51,11 @@ func TestRouterTickAllocs(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			cycle()
 		}
-		allocs := testing.AllocsPerRun(200, cycle)
-		if allocs != 0 {
+		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 			t.Errorf("%v: steady-state router Tick allocates %.2f/op, want 0", kind, allocs)
+		}
+		if allocs := testing.AllocsPerRun(200, newSatRig(t, kind).tick); allocs != 0 {
+			t.Errorf("%v: saturated network Tick allocates %.2f/op, want 0", kind, allocs)
 		}
 	}
 }

@@ -137,8 +137,8 @@ func (c Config) Validate() error {
 	if c.RouterPeriod <= 0 || c.LinkPeriod <= 0 {
 		return fmt.Errorf("router: clock periods must be positive")
 	}
-	if c.Window < 1 {
-		return fmt.Errorf("router: Window must be at least 1")
+	if c.Window < 1 || c.Window > maxWindow {
+		return fmt.Errorf("router: Window %d outside [1, %d]", c.Window, maxWindow)
 	}
 	return nil
 }
@@ -151,6 +151,6 @@ func (c Config) PinToPinCycles() int {
 
 // isWave reports whether the algorithm arbitrates in matrix waves
 // (PIM1/WFA) rather than SPAA's per-cycle nominations.
-func (c Config) isWave() bool {
+func (c *Config) isWave() bool {
 	return c.Kind == core.KindPIM1 || c.Kind == core.KindWFABase || c.Kind == core.KindWFARotary
 }

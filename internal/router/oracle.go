@@ -72,8 +72,8 @@ func (r *Router) ScanOccupied(f func(in ports.In, ch vc.Channel, queued int, old
 			if q.Len() == 0 {
 				continue
 			}
-			pk := q.At(0)
-			f(in, ch, q.Len(), r.slab.pkt[pk].ID, r.slab.headerArrive[pk])
+			e := &r.slab.e[q.At(0)]
+			f(in, ch, q.Len(), e.pkt.ID, e.headerArrive)
 		}
 	}
 }

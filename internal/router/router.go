@@ -31,19 +31,17 @@ type Counters struct {
 // pk is a slab handle.
 type nomination struct {
 	pk        int32
-	row       int
-	out       ports.Out
-	targetCh  vc.Channel
-	local     bool
+	mv        move
 	resolveAt sim.Ticks
 }
 
-// waveCell carries the packet and move behind one wave-matrix cell; pk is
-// a slab handle, -1 when the cell is empty.
+// waveCell carries the packet and downstream channel behind one
+// wave-matrix cell; pk is a slab handle, -1 when the cell is empty, and
+// pos its queue position.
 type waveCell struct {
 	pk       int32
 	targetCh vc.Channel
-	local    bool
+	pos      uint8
 }
 
 // Router is one cycle-accurate 21364 router. Drive it by attaching it to a
@@ -54,23 +52,35 @@ type Router struct {
 	torus topology.Torus
 	rng   *sim.RNG
 
-	// Packet state lives in a struct-of-arrays slab; the per-(input port,
+	// Packet state lives in a slab of entries; the per-(input port,
 	// channel) queues are fixed-capacity index rings over it, and the
 	// remaining per-input-port state is flattened into router-level
 	// arrays so arbitration scans walk contiguous memory.
 	slab   pkSlab
 	queues [ports.NumIn][vc.NumChannels]vc.Ring
 	// lru[in] is the least-recently-selected ordering over virtual
-	// channels: the front is the channel selected longest ago. The
-	// 21364's input arbiter "selects the oldest packet ... from the
-	// least-recently selected virtual channel" (§3).
-	lru [ports.NumIn][vc.NumChannels]vc.Channel
+	// channels: the front (rank 0) is the channel selected longest ago,
+	// and rank[in][ch] is ch's position in it. The 21364's input arbiter
+	// "selects the oldest packet ... from the least-recently selected
+	// virtual channel" (§3).
+	lru  [ports.NumIn][vc.NumChannels]vc.Channel
+	rank [ports.NumIn][vc.NumChannels]uint8
+	// busyCh[in] has bit ch set when queue (in, ch) is non-empty;
+	// busyRank[in] is the same set indexed by LRU rank, so its set bits
+	// in ascending order are the non-empty channels least recently
+	// selected first.
+	busyCh   [ports.NumIn]uint32
+	busyRank [ports.NumIn]uint32
+	// win[in][ch] indexes queue (in, ch)'s picker window (see window.go).
+	win [ports.NumIn][vc.NumChannels]window
 	// feeders hold the injection credits for local ports (the processor's
 	// view of the buffer's free space); nil for network inputs, whose
 	// credits live at the upstream router's output port.
 	feeders [ports.NumIn]*vc.Credits
 
-	outputs [ports.NumOut]*outputPort
+	outputs [ports.NumOut]outputPort
+	// held is the number of packets buffered at the router.
+	held int
 
 	// SPAA pipeline state.
 	policy  core.SelectPolicy
@@ -92,12 +102,26 @@ type Router struct {
 
 	// routes[dst] caches the static routing decision toward every node:
 	// productive directions, the dimension-order escape hop, and its
-	// dateline sub-channel. readyMoves consults it instead of redoing the
-	// torus offset arithmetic per scan.
+	// dateline sub-channel. rows[in][out] is the read-port row of in that
+	// the crossbar connects to out, or -1. candidatesFor turns both into a
+	// packet's static moves once, when it enters the router.
 	routes []routeEntry
+	rows   [ports.NumIn][ports.NumOut]int8
+
+	// ready[out] is the output's ready word for the arbitration in
+	// progress (see refreshReady); readyOuts has bit out set when
+	// ready[out] is non-zero.
+	ready     [ports.NumOut]uint32
+	readyOuts ports.OutMask
+	// oldAt is a lower bound on the tick at which any non-old packet in a
+	// picker window turns old: until then every anti-starvation aging
+	// check is a no-op and the scans skip it.
+	oldAt sim.Ticks
 
 	// Derived tick quantities.
 	postArbTicks sim.Ticks
+	preArbLocal  sim.Ticks // Inject -> LA eligibility
+	preArbNet    sim.Ticks // Arrive -> LA eligibility
 	gaOffset     sim.Ticks // LA -> GA latency in ticks (SPAA nominations)
 	// waveGaOffset is the build -> grant latency for PIM1/WFA waves: the
 	// grant decision lands at the initiation interval (matrix operations),
@@ -121,7 +145,6 @@ type Router struct {
 	gaRows []int
 	gaNet  []bool
 	gaIdx  []int
-	moves  []move
 }
 
 // New builds a router for the given node of the torus.
@@ -135,6 +158,8 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		torus:        torus,
 		rng:          sim.NewRNG(cfg.Seed ^ (uint64(node)+1)*0x9e3779b97f4a7c15),
 		postArbTicks: sim.Ticks(cfg.PostArb) * cfg.RouterPeriod,
+		preArbLocal:  sim.Ticks(cfg.PreArbLocal) * cfg.RouterPeriod,
+		preArbNet:    sim.Ticks(cfg.PreArbNetwork) * cfg.RouterPeriod,
 		gaOffset:     sim.Ticks(cfg.ArbCycles-1) * cfg.RouterPeriod,
 		ageTicks:     sim.Ticks(cfg.AntiStarvationAge) * cfg.RouterPeriod,
 	}
@@ -147,6 +172,10 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		initQueues(&r.queues[in], cfg.Buffers)
 		for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
 			r.lru[in][ch] = ch
+			r.rank[in][ch] = uint8(ch)
+		}
+		for out := ports.Out(0); out < ports.NumOut; out++ {
+			r.rows[in][out] = rowFor(cfg.Conn, in, out)
 		}
 		if !in.IsNetwork() {
 			r.feeders[in] = vc.NewCredits(cfg.Buffers)
@@ -157,13 +186,13 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 			r.waveCells[row][col].pk = -1
 		}
 	}
-	for out := ports.Out(0); out < ports.NumOut; out++ {
-		r.outputs[out] = &outputPort{id: out}
-	}
+	r.oldAt = maxTicks
 	r.routes = make([]routeEntry, torus.Nodes())
 	for dst := 0; dst < torus.Nodes(); dst++ {
 		e := &r.routes[dst]
-		e.dirs, e.nDirs = torus.ProductiveDirsFixed(node, topology.Node(dst))
+		var n int
+		e.dirs, n = torus.ProductiveDirsFixed(node, topology.Node(dst))
+		e.nDirs = uint8(n)
 		if d, ok := torus.DORDir(node, topology.Node(dst)); ok {
 			e.dorOK, e.dor = true, d
 			e.dorSub = vc.VC0
@@ -226,24 +255,54 @@ func (r *Router) injectionChannel(p *packet.Packet) vc.Channel {
 	return vc.Of(p.Class, sub)
 }
 
-// addPacket checks a packet into the slab and its queue.
+// addPacket checks a packet into the slab and its queue, computing its
+// static candidate moves once.
 func (r *Router) addPacket(p *packet.Packet, in ports.In, ch vc.Channel,
-	headerArrive, tailArrive, eligibleAt sim.Ticks, upstream *vc.Credits) {
+	headerArrive sim.Ticks, flags uint8, upstream *vc.Credits) {
 	idx := r.slab.alloc()
-	s := &r.slab
-	s.pkt[idx] = p
-	s.ch[idx] = ch
-	s.in[idx] = in
-	s.headerArrive[idx] = headerArrive
-	s.tailArrive[idx] = tailArrive
-	s.eligibleAt[idx] = eligibleAt
-	s.flags[idx] = 0
-	s.upstream[idx] = upstream
-	s.upstreamCh[idx] = ch
-	r.queues[in][ch].Push(idx)
+	e := &r.slab.e[idx]
+	*e = pkEntry{
+		pkt:          p,
+		upstream:     upstream,
+		headerArrive: headerArrive,
+		cand:         r.candidatesFor(p, in),
+		ch:           ch,
+		in:           in,
+		flags:        flags,
+	}
+	q := &r.queues[in][ch]
+	q.Push(idx)
+	r.held++
+	if q.Len() == 1 {
+		r.busyCh[in] |= 1 << ch
+		r.busyRank[in] |= 1 << r.rank[in][ch]
+	}
+	if q.Len() <= r.cfg.Window {
+		r.enterWindow(&r.win[in][ch], e)
+	}
 	if m := r.metrics; m != nil {
 		m.QueueDelta(in, ch, +1, headerArrive)
 	}
+}
+
+// eligibleAt is the earliest tick a buffered packet takes part in LA
+// (after its pin-to-LA pipeline stages).
+func (r *Router) eligibleAt(e *pkEntry) sim.Ticks {
+	if e.flags&pkInjected != 0 {
+		return e.headerArrive + r.preArbLocal
+	}
+	return e.headerArrive + r.preArbNet
+}
+
+// tailArrive is when a buffered packet's last flit has fully arrived:
+// injected flits stream in at the router clock, network flits at the
+// link clock.
+func (r *Router) tailArrive(e *pkEntry) sim.Ticks {
+	period := r.cfg.LinkPeriod
+	if e.flags&pkInjected != 0 {
+		period = r.cfg.RouterPeriod
+	}
+	return e.headerArrive + sim.Ticks(e.pkt.Flits-1)*period
 }
 
 // Inject offers a packet to a local input port at time now. It returns
@@ -260,11 +319,7 @@ func (r *Router) Inject(p *packet.Packet, in ports.In, now sim.Ticks) bool {
 		return false
 	}
 	feeder.Reserve(ch)
-	r.addPacket(p, in, ch,
-		now,
-		now+sim.Ticks(p.Flits-1)*r.cfg.RouterPeriod,
-		now+sim.Ticks(r.cfg.PreArbLocal)*r.cfg.RouterPeriod,
-		feeder)
+	r.addPacket(p, in, ch, now, pkInjected, feeder)
 	r.Counters.Injected++
 	if f := r.flight; f != nil {
 		f.Record(now, obs.FlightInject, p.ID, in, ch, ports.NumOut)
@@ -302,11 +357,7 @@ func (r *Router) Arrive(p *packet.Packet, in ports.In, targetCh vc.Channel,
 		panic(fmt.Sprintf("router %d: buffer overflow on %v/%v — credit accounting broken",
 			r.node, in, targetCh))
 	}
-	r.addPacket(p, in, targetCh,
-		headerArrive,
-		headerArrive+sim.Ticks(p.Flits-1)*r.cfg.LinkPeriod,
-		headerArrive+sim.Ticks(r.cfg.PreArbNetwork)*r.cfg.RouterPeriod,
-		creditHome)
+	r.addPacket(p, in, targetCh, headerArrive, 0, creditHome)
 	r.Counters.Arrived++
 	if f := r.flight; f != nil {
 		f.Record(headerArrive, obs.FlightArrive, p.ID, in, targetCh, ports.NumOut)
@@ -314,15 +365,7 @@ func (r *Router) Arrive(p *packet.Packet, in ports.In, targetCh vc.Channel,
 }
 
 // Buffered returns the number of packets buffered at the router.
-func (r *Router) Buffered() int {
-	n := 0
-	for in := range r.queues {
-		for ch := range r.queues[in] {
-			n += r.queues[in][ch].Len()
-		}
-	}
-	return n
-}
+func (r *Router) Buffered() int { return r.held }
 
 // Draining reports whether the anti-starvation drain is active.
 func (r *Router) Draining() bool { return r.draining }
@@ -330,17 +373,19 @@ func (r *Router) Draining() bool { return r.draining }
 // Tick advances the router one clock cycle: GA resolution first (grants
 // commit, losers reset), then LA issue (new nominations or a new wave).
 func (r *Router) Tick(now sim.Ticks) {
-	if r.cfg.isWave() {
-		r.tickWave(now)
-	} else {
-		r.tickSPAA(now)
-	}
+	r.resolve(now)
+	r.issue(now)
 }
 
-// ---- SPAA pipeline ----
-
-func (r *Router) tickSPAA(now sim.Ticks) {
-	// GA: resolve nominations due now, grouped by output port.
+// resolve is the GA half of a cycle: it commits the SPAA nominations or
+// the wave due now.
+func (r *Router) resolve(now sim.Ticks) {
+	if r.cfg.isWave() {
+		if r.waveActive && now >= r.waveResolveAt {
+			r.resolveWave(now)
+		}
+		return
+	}
 	due := 0
 	for due < len(r.noms) && r.noms[due].resolveAt <= now {
 		due++
@@ -349,85 +394,117 @@ func (r *Router) tickSPAA(now sim.Ticks) {
 		r.resolveSPAA(r.noms[:due], now)
 		r.noms = r.noms[:copy(r.noms, r.noms[due:])]
 	}
+}
 
-	// LA: one nomination per input port per initiation interval.
+// issue is the LA half of a cycle: SPAA's nominations, one per input port
+// per initiation interval, or a PIM1/WFA wave on the wave cadence.
+func (r *Router) issue(now sim.Ticks) {
+	if r.cfg.isWave() {
+		if now < r.nextWaveAt || r.waveActive {
+			return
+		}
+		// Waves restart on their fixed cadence whether or not the previous
+		// one found work (the paper: "a new arbitration can be started
+		// every three cycles").
+		r.nextWaveAt = now + sim.Ticks(r.cfg.InitInterval)*r.cfg.RouterPeriod
+		if r.buildWave(now) {
+			r.waveActive = true
+			r.waveResolveAt = now + r.waveGaOffset
+		}
+		return
+	}
 	if now < r.nextLA {
 		return
 	}
 	r.nextLA = now + sim.Ticks(r.cfg.InitInterval)*r.cfg.RouterPeriod
+	if r.held == 0 {
+		return
+	}
 	gaTick := now + r.gaOffset
+	r.refreshReady(gaTick)
+	if r.readyOuts == 0 && now < r.oldAt {
+		// No move can be ready and no packet can age: every scan would
+		// come up empty.
+		return
+	}
 	for in := ports.In(0); in < ports.NumIn; in++ {
-		pk, mv, ok := r.findNomination(in, now, gaTick)
+		pk, pos, mv, ok := r.findNomination(in, now)
 		if !ok {
 			continue
 		}
-		r.slab.flags[pk] |= pkNominated
+		e := &r.slab.e[pk]
+		e.flags |= pkNominated
+		r.win[in][e.ch].nom |= 1 << pos
 		r.dirPref[in]++
-		r.noms = append(r.noms, nomination{
-			pk: pk, row: mv.row, out: mv.out, targetCh: mv.targetCh,
-			local: mv.local, resolveAt: gaTick,
-		})
+		r.noms = append(r.noms, nomination{pk: pk, mv: mv, resolveAt: gaTick})
 		r.Counters.Nominations++
 		if f := r.flight; f != nil {
-			f.Record(now, obs.FlightNominate, r.slab.pkt[pk].ID, in, r.slab.ch[pk], mv.out)
+			f.Record(now, obs.FlightNominate, e.pkt.ID, in, e.ch, mv.out)
 		}
 		if r.oracle != nil {
 			r.oracle.SPAANominate(r, now, SPAAGrant{
-				ID: r.slab.pkt[pk].ID, Row: mv.row, In: in, Ch: r.slab.ch[pk],
-				Out: mv.out, TargetCh: mv.targetCh, Local: mv.local,
+				ID: e.pkt.ID, Row: int(mv.row), In: in, Ch: e.ch,
+				Out: mv.out, TargetCh: mv.targetCh, Local: mv.local(),
 			}, gaTick)
 		}
 	}
+	r.settleOldAt(now)
 }
+
+// ---- SPAA pipeline ----
 
 // findNomination implements the 21364 input port arbiter: the oldest
 // packet satisfying the basic constraints from the least-recently selected
-// virtual channel (§3).
-func (r *Router) findNomination(in ports.In, now, gaTick sim.Ticks) (int32, move, bool) {
-	s := &r.slab
-	for _, ch := range r.lru[in] {
+// virtual channel (§3). It walks only the non-empty channels, in LRU rank
+// order, skips windows that want no ready output, and visits only the
+// unlocked window positions, testing their moves against the ready words.
+// It returns the packet's queue position with it.
+func (r *Router) findNomination(in ports.In, now sim.Ticks) (int32, int, move, bool) {
+	var mv [3]move
+	for w := r.busyRank[in]; w != 0; w &= w - 1 {
+		ch := r.lru[in][bits.TrailingZeros32(w)]
 		q := &r.queues[in][ch]
-		if q.Len() == 0 {
+		win := &r.win[in][ch]
+		limit := min(q.Len(), r.cfg.Window)
+		drainFrom := r.ageWindow(q, limit, now)
+		if win.want&r.readyOuts == 0 {
 			continue
 		}
-		limit := q.Len()
-		if limit > r.cfg.Window {
-			limit = r.cfg.Window
-		}
-		best := int32(-1)
+		best, bestPos := int32(-1), 0
+		var bestE *pkEntry
 		var bestMove move
-		for i := 0; i < limit; i++ {
+		for c := win.open(limit); c != 0; c &= c - 1 {
+			i := bits.TrailingZeros32(c)
 			pk := q.At(i)
-			r.markOld(pk, now)
-			if s.flags[pk]&pkNominated != 0 || s.eligibleAt[pk] > now {
+			e := &r.slab.e[pk]
+			if !r.eligible(e, i >= drainFrom, now) || (bestE != nil && !olderThan(e, bestE)) {
 				continue
 			}
-			if r.draining && s.flags[pk]&pkOld == 0 {
+			if r.readyMoves(e, &mv) == 0 {
 				continue
 			}
-			if best >= 0 && !r.olderThan(pk, best) {
-				continue
-			}
-			r.moves = r.readyMoves(pk, gaTick, r.moves[:0])
-			if len(r.moves) == 0 {
-				continue
-			}
-			best, bestMove = pk, r.moves[0]
+			best, bestPos, bestE, bestMove = pk, i, e, mv[0]
 		}
 		if best >= 0 {
-			return best, bestMove, true
+			return best, bestPos, bestMove, true
 		}
 	}
-	return -1, move{}, false
+	return -1, 0, move{}, false
+}
+
+// eligible reports whether an unlocked window packet takes part in LA
+// now: past its pre-arbitration stages and, where the drain filter
+// covers it, old.
+func (r *Router) eligible(e *pkEntry, drain bool, now sim.Ticks) bool {
+	return r.eligibleAt(e) <= now && (!drain || e.flags&pkOld != 0)
 }
 
 // olderThan orders two buffered packets by arrival, then packet ID.
-func (r *Router) olderThan(a, b int32) bool {
-	s := &r.slab
-	if s.headerArrive[a] != s.headerArrive[b] {
-		return s.headerArrive[a] < s.headerArrive[b]
+func olderThan(a, b *pkEntry) bool {
+	if a.headerArrive != b.headerArrive {
+		return a.headerArrive < b.headerArrive
 	}
-	return s.pkt[a].ID < s.pkt[b].ID
+	return a.pkt.ID < b.pkt.ID
 }
 
 // resolveSPAA is the GA stage: for each output port with due nominations,
@@ -441,14 +518,14 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 		r.gaRows = r.gaRows[:0]
 		r.gaNet = r.gaNet[:0]
 		r.gaIdx = r.gaIdx[:0]
-		op := r.outputs[out]
+		op := &r.outputs[out]
 		for i := range due {
 			n := &due[i]
-			if n.out != out {
+			if n.mv.out != out {
 				continue
 			}
 			valid := op.freeForGrant(now, r.postArbTicks) &&
-				(n.local || (op.credits != nil && op.credits.Available(n.targetCh)))
+				(n.mv.local() || (op.credits != nil && op.credits.Available(n.mv.targetCh)))
 			if !valid {
 				if m := r.metrics; m != nil {
 					if !op.freeForGrant(now, r.postArbTicks) {
@@ -462,8 +539,8 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 				n.pk = -1
 				continue
 			}
-			r.gaRows = append(r.gaRows, n.row)
-			r.gaNet = append(r.gaNet, r.slab.in[n.pk].IsNetwork())
+			r.gaRows = append(r.gaRows, int(n.mv.row))
+			r.gaNet = append(r.gaNet, r.slab.e[n.pk].in.IsNetwork())
 			r.gaIdx = append(r.gaIdx, i)
 		}
 		if len(r.gaRows) == 0 {
@@ -474,12 +551,13 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 			n := &due[idx]
 			if k == w {
 				if r.oracle != nil {
+					e := &r.slab.e[n.pk]
 					r.oracleGrants = append(r.oracleGrants, SPAAGrant{
-						ID: r.slab.pkt[n.pk].ID, Row: n.row, In: r.slab.in[n.pk],
-						Ch: r.slab.ch[n.pk], Out: n.out, TargetCh: n.targetCh, Local: n.local,
+						ID: e.pkt.ID, Row: int(n.mv.row), In: e.in, Ch: e.ch,
+						Out: n.mv.out, TargetCh: n.mv.targetCh, Local: n.mv.local(),
 					})
 				}
-				r.dispatch(n.pk, n.out, n.targetCh, n.local, now)
+				r.dispatch(n.pk, n.mv.out, n.mv.targetCh, now)
 			} else {
 				r.reset(n.pk, now)
 				r.Counters.WastedSpecReads++
@@ -499,31 +577,16 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 }
 
 func (r *Router) reset(pk int32, now sim.Ticks) {
-	r.slab.flags[pk] &^= pkNominated
+	e := &r.slab.e[pk]
+	e.flags &^= pkNominated
+	r.win[e.in][e.ch].nom &^= 1 << r.queues[e.in][e.ch].Index(pk)
 	r.Counters.Collisions++
 	if f := r.flight; f != nil {
-		f.Record(now, obs.FlightReset, r.slab.pkt[pk].ID, r.slab.in[pk], r.slab.ch[pk], ports.NumOut)
+		f.Record(now, obs.FlightReset, e.pkt.ID, e.in, e.ch, ports.NumOut)
 	}
 }
 
 // ---- PIM1/WFA wave pipeline ----
-
-func (r *Router) tickWave(now sim.Ticks) {
-	if r.waveActive && now >= r.waveResolveAt {
-		r.resolveWave(now)
-	}
-	if now < r.nextWaveAt || r.waveActive {
-		return
-	}
-	// Waves restart on their fixed cadence whether or not the previous one
-	// found work (the paper: "a new arbitration can be started every three
-	// cycles").
-	r.nextWaveAt = now + sim.Ticks(r.cfg.InitInterval)*r.cfg.RouterPeriod
-	if r.buildWave(now) {
-		r.waveActive = true
-		r.waveResolveAt = now + r.waveGaOffset
-	}
-}
 
 // buildWave loads the connection matrix: for every read-port row and every
 // reachable column, the oldest eligible packet that can move there this
@@ -533,46 +596,56 @@ func (r *Router) tickWave(now sim.Ticks) {
 // in-flight nominations versus SPAA's 16).
 func (r *Router) buildWave(now sim.Ticks) bool {
 	r.matrix.Reset()
-	gaTick := now + r.waveGaOffset
+	if r.held == 0 {
+		return false
+	}
+	r.refreshReady(now + r.waveGaOffset)
+	if r.readyOuts == 0 && now < r.oldAt {
+		return false
+	}
 	any := false
-	s := &r.slab
+	var mv [3]move
 	for in := ports.In(0); in < ports.NumIn; in++ {
-		for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
+		for w := r.busyCh[in]; w != 0; w &= w - 1 {
+			ch := bits.TrailingZeros32(w)
 			q := &r.queues[in][ch]
-			limit := q.Len()
-			if limit > r.cfg.Window {
-				limit = r.cfg.Window
+			win := &r.win[in][ch]
+			limit := min(q.Len(), r.cfg.Window)
+			drainFrom := r.ageWindow(q, limit, now)
+			if win.want&r.readyOuts == 0 {
+				continue
 			}
-			for i := 0; i < limit; i++ {
+			for c := win.open(limit); c != 0; c &= c - 1 {
+				i := bits.TrailingZeros32(c)
 				pk := q.At(i)
-				r.markOld(pk, now)
-				if s.flags[pk]&pkNominated != 0 || s.eligibleAt[pk] > now {
+				e := &r.slab.e[pk]
+				if !r.eligible(e, i >= drainFrom, now) {
 					continue
 				}
-				if r.draining && s.flags[pk]&pkOld == 0 {
+				n := r.readyMoves(e, &mv)
+				if n == 0 {
 					continue
 				}
-				r.moves = r.readyMoves(pk, gaTick, r.moves[:0])
-				if len(r.moves) == 0 {
-					continue
-				}
-				row := r.assignRow(in, r.moves, s.pkt[pk].ID)
-				for _, mv := range r.moves {
-					if mv.row != row {
+				id := e.pkt.ID
+				row := assignRow(in, mv[:n], id)
+				age := int64(e.headerArrive)
+				for _, m := range mv[:n] {
+					if int(m.row) != row {
 						continue
 					}
-					cell := r.matrix.At(row, int(mv.out))
-					age := int64(s.headerArrive[pk])
-					if cell.Valid && !(age < cell.Age || (age == cell.Age && s.pkt[pk].ID < cell.Key)) {
-						continue
+					if r.matrix.RowMask(row)>>m.out&1 != 0 {
+						if cell := r.matrix.At(row, int(m.out)); !(age < cell.Age || (age == cell.Age && id < cell.Key)) {
+							continue
+						}
 					}
-					r.matrix.Set(row, int(mv.out), age, s.pkt[pk].ID, 0)
-					r.waveCells[row][mv.out] = waveCell{pk: pk, targetCh: mv.targetCh, local: mv.local}
+					r.matrix.Set(row, int(m.out), age, id, 0)
+					r.waveCells[row][m.out] = waveCell{pk: pk, targetCh: m.targetCh, pos: uint8(i)}
 					any = true
 				}
 			}
 		}
 	}
+	r.settleOldAt(now)
 	if !any {
 		return false
 	}
@@ -581,11 +654,13 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 	for row := 0; row < ports.NumRows; row++ {
 		for w := r.matrix.RowMask(row); w != 0; w &= w - 1 {
 			col := bits.TrailingZeros64(w)
-			pk := r.waveCells[row][col].pk
-			s.flags[pk] |= pkNominated
+			cell := &r.waveCells[row][col]
+			e := &r.slab.e[cell.pk]
+			e.flags |= pkNominated
+			r.win[e.in][e.ch].nom |= 1 << cell.pos
 			r.Counters.Nominations++
 			if f := r.flight; f != nil {
-				f.Record(now, obs.FlightNominate, s.pkt[pk].ID, s.in[pk], s.ch[pk], ports.Out(col))
+				f.Record(now, obs.FlightNominate, e.pkt.ID, e.in, e.ch, ports.Out(col))
 			}
 		}
 	}
@@ -595,11 +670,11 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 // assignRow picks the single read-port row a packet nominates through: the
 // one whose crossbar connections cover more of the packet's ready moves,
 // with ties broken by packet ID.
-func (r *Router) assignRow(in ports.In, moves []move, id uint64) int {
+func assignRow(in ports.In, moves []move, id uint64) int {
 	row0, row1 := ports.Row(in, 0), ports.Row(in, 1)
 	c0, c1 := 0, 0
 	for _, mv := range moves {
-		switch mv.row {
+		switch int(mv.row) {
 		case row0:
 			c0++
 		case row1:
@@ -629,10 +704,11 @@ func (r *Router) resolveWave(now sim.Ticks) {
 	}
 	for _, g := range grants {
 		cell := r.waveCells[g.Row][g.Col]
-		op := r.outputs[ports.Out(g.Col)]
+		out := ports.Out(g.Col)
+		op := &r.outputs[out]
 		valid := op.freeForGrant(now, r.postArbTicks) &&
-			(cell.local || (op.credits != nil && op.credits.Available(cell.targetCh)))
-		if !valid || cell.pk < 0 || r.slab.flags[cell.pk]&pkNominated == 0 {
+			(out.IsLocal() || (op.credits != nil && op.credits.Available(cell.targetCh)))
+		if !valid || cell.pk < 0 || r.slab.e[cell.pk].flags&pkNominated == 0 {
 			if m := r.metrics; m != nil && !valid && cell.pk >= 0 {
 				if !op.freeForGrant(now, r.postArbTicks) {
 					m.Stalls++
@@ -643,14 +719,14 @@ func (r *Router) resolveWave(now sim.Ticks) {
 			}
 			continue
 		}
-		r.dispatch(cell.pk, ports.Out(g.Col), cell.targetCh, cell.local, now)
+		r.dispatch(cell.pk, out, cell.targetCh, now)
 	}
 	// Unlock every nominated packet that was not dispatched; the row
 	// validity words name exactly the cells the wave populated.
 	for row := 0; row < ports.NumRows; row++ {
 		for w := r.matrix.RowMask(row); w != 0; w &= w - 1 {
 			col := bits.TrailingZeros64(w)
-			if pk := r.waveCells[row][col].pk; pk >= 0 && r.slab.flags[pk]&pkNominated != 0 {
+			if pk := r.waveCells[row][col].pk; pk >= 0 && r.slab.e[pk].flags&pkNominated != 0 {
 				r.reset(pk, now)
 			}
 			r.waveCells[row][col] = waveCell{pk: -1}
@@ -662,9 +738,9 @@ func (r *Router) resolveWave(now sim.Ticks) {
 // ---- common ----
 
 func (r *Router) markOld(pk int32, now sim.Ticks) {
-	s := &r.slab
-	if s.flags[pk]&pkOld == 0 && now-s.headerArrive[pk] >= r.ageTicks {
-		s.flags[pk] |= pkOld
+	e := &r.slab.e[pk]
+	if e.flags&pkOld == 0 && now-e.headerArrive >= r.ageTicks {
+		e.flags |= pkOld
 		r.oldCount++
 		if !r.draining && r.oldCount > r.cfg.AntiStarvationThreshold {
 			r.draining = true
@@ -673,63 +749,72 @@ func (r *Router) markOld(pk int32, now sim.Ticks) {
 	}
 }
 
-// touchVC moves ch to the most-recently-selected end of in's LRU order.
+// touchVC moves ch to the most-recently-selected end of in's LRU order,
+// shifting the ranks above it down by one in both the order and the
+// rank-indexed busy word.
 func (r *Router) touchVC(in ports.In, ch vc.Channel) {
-	lru := &r.lru[in]
-	idx := -1
-	for i, c := range lru {
-		if c == ch {
-			idx = i
-			break
-		}
+	lru, rank := &r.lru[in], &r.rank[in]
+	k := uint(rank[ch])
+	for j := k; j < vc.NumChannels-1; j++ {
+		c := lru[j+1]
+		lru[j] = c
+		rank[c] = uint8(j)
 	}
-	if idx < 0 {
-		return
-	}
-	copy(lru[idx:], lru[idx+1:])
-	lru[len(lru)-1] = ch
+	lru[vc.NumChannels-1] = ch
+	rank[ch] = vc.NumChannels - 1
+	w := r.busyRank[in]
+	r.busyRank[in] = w&(1<<k-1) | w>>(k+1)<<k | (w>>k&1)<<(vc.NumChannels-1)
 }
 
 // dispatch commits a grant: the packet leaves its input buffer (returning
 // the upstream credit), the output port goes busy for the packet's length,
 // and the packet is handed to the link or the local sink. A grant at tick
 // g puts the header on the pin at g + PostArb cycles.
-func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, local bool, now sim.Ticks) {
+func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, now sim.Ticks) {
 	// The granted packet leaves the input buffer; losers of this GA round
 	// were already reset. A successful selection is what advances the
 	// input port's least-recently-selected virtual channel order.
-	s := &r.slab
-	s.flags[pk] &^= pkNominated
-	in, ch := s.in[pk], s.ch[pk]
+	e := &r.slab.e[pk]
+	e.flags &^= pkNominated
+	in, ch := e.in, e.ch
 	r.touchVC(in, ch)
-	if !r.queues[in][ch].Remove(pk) {
+	q := &r.queues[in][ch]
+	pos := q.Index(pk)
+	if pos < 0 {
 		panic("router: removing packet not in queue")
 	}
+	q.RemoveAt(pos)
+	r.held--
+	if q.Len() == 0 {
+		r.busyCh[in] &^= 1 << ch
+		r.busyRank[in] &^= 1 << r.rank[in][ch]
+	}
+	r.leaveWindow(in, ch, pos)
 	if m := r.metrics; m != nil {
 		m.QueueDelta(in, ch, -1, now)
 	}
-	if s.flags[pk]&pkOld != 0 {
-		s.flags[pk] &^= pkOld
+	if e.flags&pkOld != 0 {
+		e.flags &^= pkOld
 		r.oldCount--
 		if r.oldCount == 0 {
 			r.draining = false
 		}
 	}
-	if s.upstream[pk] != nil {
-		s.upstream[pk].Release(s.upstreamCh[pk])
+	if e.upstream != nil {
+		e.upstream.Release(ch)
 	}
 
-	p := s.pkt[pk]
-	tailArrive := s.tailArrive[pk]
+	p := e.pkt
+	tailArrive := r.tailArrive(e)
 	r.slab.release(pk)
 	if f := r.flight; f != nil {
 		f.Record(now, obs.FlightGrant, p.ID, in, ch, out)
 	}
 
-	op := r.outputs[out]
+	op := &r.outputs[out]
 	headerDepart := now + r.postArbTicks
 	flits := sim.Ticks(p.Flits)
-	if local {
+	if out.IsLocal() {
 		op.busyUntil = headerDepart + flits*r.cfg.RouterPeriod
 		deliveredAt := headerDepart + (flits-1)*r.cfg.RouterPeriod
 		if tailArrive > deliveredAt {

@@ -31,9 +31,24 @@ type harness struct {
 	r          *Router
 	departures []departure
 	deliveries []delivery
+	// held outputs never get their downstream credits back (a stalled
+	// neighbor); the others get them back creditDelay ticks after the
+	// header departs — at once when it is zero, as if the neighbor
+	// forwarded instantly.
+	held        ports.OutMask
+	creditDelay sim.Ticks
 }
 
 func newHarness(t *testing.T, cfg Config) *harness {
+	t.Helper()
+	h := newUnclockedHarness(t, cfg)
+	h.eng.AddClock(cfg.RouterPeriod, 0, h.r)
+	return h
+}
+
+// newUnclockedHarness wires the router without attaching it to the
+// engine's clock, for tests that drive its cycle themselves.
+func newUnclockedHarness(t *testing.T, cfg Config) *harness {
 	t.Helper()
 	torus := topology.NewTorus(4, 4)
 	r, err := New(cfg, 5, torus) // node 5 = (1,1)
@@ -46,9 +61,13 @@ func newHarness(t *testing.T, cfg Config) *harness {
 		if out.IsNetwork() {
 			r.ConnectNetwork(out, func(p *packet.Packet, ch vc.Channel, depart sim.Ticks, home *vc.Credits) {
 				h.departures = append(h.departures, departure{p, out, ch, depart})
-				// Return the credit as if the neighbor forwarded instantly,
-				// unless a test wants to hold it.
-				home.Release(ch)
+				switch {
+				case h.held.Has(out):
+				case h.creditDelay > 0:
+					h.eng.Schedule(depart+h.creditDelay, func() { home.Release(ch) })
+				default:
+					home.Release(ch)
+				}
 			})
 		} else {
 			r.ConnectLocal(out, func(p *packet.Packet, at sim.Ticks) {
@@ -56,7 +75,6 @@ func newHarness(t *testing.T, cfg Config) *harness {
 			})
 		}
 	}
-	h.eng.AddClock(cfg.RouterPeriod, 0, r)
 	return h
 }
 
@@ -68,10 +86,12 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("%v accepted by timing router; it is standalone-only", k)
 		}
 	}
-	cfg := DefaultConfig(core.KindSPAABase)
-	cfg.Window = 0
-	if err := cfg.Validate(); err == nil {
-		t.Error("Window=0 accepted")
+	for _, w := range []int{0, maxWindow + 1} {
+		cfg := DefaultConfig(core.KindSPAABase)
+		cfg.Window = w
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("Window=%d accepted", w)
+		}
 	}
 }
 
@@ -358,6 +378,42 @@ func TestIOPacketsUseDeadlockFreeOnly(t *testing.T) {
 	}
 	if ch := h.departures[0].targetCh; !ch.IsDeadlockFree() {
 		t.Errorf("I/O packet on channel %v; must use deadlock-free channels", ch)
+	}
+}
+
+// TestSpecialClassWaitsOnMinimalMoves: the special class has a single
+// channel and no deadlock-free escape, so a special packet whose minimal
+// moves are blocked waits for them — under every router kind — and leaves
+// on its own channel once a downstream credit returns.
+func TestSpecialClassWaitsOnMinimalMoves(t *testing.T) {
+	for _, kind := range []core.Kind{core.KindSPAABase, core.KindSPAARotary, core.KindPIM1, core.KindWFABase, core.KindWFARotary} {
+		cfg := DefaultConfig(kind)
+		h := newHarness(t, cfg)
+		special := vc.Of(packet.Special, vc.Adaptive)
+		cr := h.r.OutputCredits(ports.OutEast)
+		held := 0
+		for cr.Available(special) {
+			cr.Reserve(special)
+			held++
+		}
+		h.eng.Schedule(0, func() {
+			// Node 5 = (1,1) to node 7 = (3,1): east is the only minimal move.
+			h.r.Arrive(packet.New(1, packet.Special, 4, 7, 0), ports.InWest, special, 0, nil)
+		})
+		h.eng.Run(200 * cfg.RouterPeriod)
+		if len(h.departures) != 0 || h.r.Buffered() != 1 {
+			t.Fatalf("%v: blocked special packet: %d departures, %d buffered; want it waiting", kind, len(h.departures), h.r.Buffered())
+		}
+		for ; held > 0; held-- {
+			cr.Release(special)
+		}
+		h.eng.Run(400 * cfg.RouterPeriod)
+		if len(h.departures) != 1 {
+			t.Fatalf("%v: departures = %d after the credit returned, want 1", kind, len(h.departures))
+		}
+		if d := h.departures[0]; d.out != ports.OutEast || d.targetCh != special {
+			t.Errorf("%v: special packet left on %v/%v, want %v/%v", kind, d.out, d.targetCh, ports.OutEast, special)
+		}
 	}
 }
 

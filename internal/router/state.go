@@ -1,13 +1,13 @@
 package router
 
-// state.go holds the router's per-packet bookkeeping in struct-of-arrays
-// form: one slab of parallel arrays per router, indexed by int32 handles
-// drawn from a free list, with per-(input port, virtual channel) queues
-// as fixed-capacity index rings over the slab. The arbiter inner loops
-// (SPAA nomination scans, PIM1/WFA wave builds) walk dense arrays of
-// ticks and flags instead of chasing per-packet heap objects, and the
-// steady-state router allocates nothing: slab slots and ring storage are
-// recycled as packets dispatch.
+// state.go holds the router's per-packet bookkeeping: one slab of
+// fixed-size entries per router, indexed by int32 handles drawn from a
+// free list, with per-(input port, virtual channel) queues as
+// fixed-capacity index rings over the slab. An entry carries everything
+// the arbiter scans read — arrival tick, flags, and the packet's static
+// candidate moves, fixed when it enters the router — in one cache line,
+// and the steady-state router allocates nothing: slab slots and ring
+// storage are recycled as packets dispatch.
 
 import (
 	"alpha21364/internal/packet"
@@ -16,29 +16,33 @@ import (
 	"alpha21364/internal/vc"
 )
 
-// pkState flag bits.
+// pkEntry flag bits.
 const (
 	pkNominated uint8 = 1 << iota // locked by an in-flight nomination or wave
 	pkOld                         // anti-starvation color
+	pkInjected                    // entered through Inject (local pre-arbitration depth)
 )
 
-// pkSlab is the per-router packet-state arena: parallel arrays indexed
-// by int32 handles. Growth appends to every array (indices, not
+// pkEntry is one buffered packet's router-side state.
+type pkEntry struct {
+	pkt *packet.Packet
+	// upstream is the credit home: where to return the buffer credit this
+	// packet occupies (on its channel ch) when it leaves this router. Nil
+	// for test-injected packets.
+	upstream     *vc.Credits
+	headerArrive sim.Ticks // header at this router's pin (or injection time)
+	cand         candidates
+	ch           vc.Channel // channel occupied at this router
+	in           ports.In
+	flags        uint8
+}
+
+// pkSlab is the per-router packet-state arena: one array of entries
+// indexed by int32 handles. Growth is a single append (indices, not
 // pointers, are held elsewhere, so reallocation is safe); the free list
 // recycles slots, reaching a steady state with zero allocation.
 type pkSlab struct {
-	pkt          []*packet.Packet
-	ch           []vc.Channel // channel occupied at this router
-	in           []ports.In
-	headerArrive []sim.Ticks // header at this router's pin (or injection time)
-	tailArrive   []sim.Ticks // last flit fully arrived
-	eligibleAt   []sim.Ticks // earliest LA participation (after DW stages)
-	flags        []uint8
-	// Credit home: where to return the buffer credit this packet occupies
-	// when it leaves this router. Nil for test-injected packets.
-	upstream   []*vc.Credits
-	upstreamCh []vc.Channel
-
+	e    []pkEntry
 	free []int32
 }
 
@@ -49,24 +53,13 @@ func (s *pkSlab) alloc() int32 {
 		s.free = s.free[:n-1]
 		return idx
 	}
-	idx := int32(len(s.pkt))
-	s.pkt = append(s.pkt, nil)
-	s.ch = append(s.ch, 0)
-	s.in = append(s.in, 0)
-	s.headerArrive = append(s.headerArrive, 0)
-	s.tailArrive = append(s.tailArrive, 0)
-	s.eligibleAt = append(s.eligibleAt, 0)
-	s.flags = append(s.flags, 0)
-	s.upstream = append(s.upstream, nil)
-	s.upstreamCh = append(s.upstreamCh, 0)
-	return idx
+	s.e = append(s.e, pkEntry{})
+	return int32(len(s.e) - 1)
 }
 
 // release recycles a slot, dropping its pointer fields for the GC.
 func (s *pkSlab) release(idx int32) {
-	s.pkt[idx] = nil
-	s.upstream[idx] = nil
-	s.flags[idx] = 0
+	s.e[idx] = pkEntry{}
 	s.free = append(s.free, idx)
 }
 
@@ -90,7 +83,6 @@ type DeliverFunc func(p *packet.Packet, at sim.Ticks)
 
 // outputPort is one of the seven output ports.
 type outputPort struct {
-	id ports.Out
 	// busyUntil is when the port finishes transmitting its current packet;
 	// re-arbitration is possible once all flits are delivered (§2.1).
 	busyUntil sim.Ticks

@@ -86,14 +86,13 @@ func (r *Ring) RemoveAt(i int) {
 	r.n--
 }
 
-// Remove deletes the first occurrence of v, reporting whether it was
-// present.
-func (r *Ring) Remove(v int32) bool {
+// Index returns the position of the first occurrence of v (0 is the
+// front), or -1 if v is not queued.
+func (r *Ring) Index(v int32) int {
 	for i := 0; i < r.n; i++ {
 		if r.buf[r.slot(i)] == v {
-			r.RemoveAt(i)
-			return true
+			return i
 		}
 	}
-	return false
+	return -1
 }

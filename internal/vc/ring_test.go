@@ -65,11 +65,12 @@ func TestRingRemoveValue(t *testing.T) {
 	r.Push(10)
 	r.Push(20)
 	r.Push(30)
-	if !r.Remove(20) {
-		t.Fatal("Remove(20) = false")
+	if got := r.Index(20); got != 1 {
+		t.Fatalf("Index(20) = %d, want 1", got)
 	}
-	if r.Remove(99) {
-		t.Fatal("Remove(99) = true")
+	r.RemoveAt(r.Index(20))
+	if got, miss := r.Index(30), r.Index(99); got != 1 || miss != -1 {
+		t.Fatalf("Index(30), Index(99) = %d, %d after removal, want 1, -1", got, miss)
 	}
 	got := ringContents(&r)
 	if len(got) != 2 || got[0] != 10 || got[1] != 30 {

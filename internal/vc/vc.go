@@ -157,6 +157,8 @@ func (c Config) Total() int {
 // the packet later leaves that buffer.
 type Credits struct {
 	free [NumChannels]int
+	// avail mirrors free as a word: bit ch set ⇔ free[ch] > 0.
+	avail uint32
 }
 
 // NewCredits returns a credit tracker initialized to the capacities in cfg.
@@ -164,12 +166,20 @@ func NewCredits(cfg Config) *Credits {
 	cr := &Credits{}
 	for ch := Channel(0); ch < NumChannels; ch++ {
 		cr.free[ch] = cfg.Capacity(ch)
+		if cr.free[ch] > 0 {
+			cr.avail |= 1 << ch
+		}
 	}
 	return cr
 }
 
 // Available reports whether at least one packet buffer is free on ch.
 func (cr *Credits) Available(ch Channel) bool { return cr.free[ch] > 0 }
+
+// Mask returns the channels with a free packet buffer as a word: bit ch
+// set ⇔ Available(ch). Reserve and Release keep it current, so readers
+// test every channel of a port with one load.
+func (cr *Credits) Mask() uint32 { return cr.avail }
 
 // Free returns the number of free packet buffers on ch.
 func (cr *Credits) Free(ch Channel) int { return cr.free[ch] }
@@ -182,10 +192,16 @@ func (cr *Credits) Reserve(ch Channel) {
 		panic(fmt.Sprintf("vc: reserve on exhausted channel %v", ch))
 	}
 	cr.free[ch]--
+	if cr.free[ch] == 0 {
+		cr.avail &^= 1 << ch
+	}
 }
 
 // Release returns one credit on ch.
-func (cr *Credits) Release(ch Channel) { cr.free[ch]++ }
+func (cr *Credits) Release(ch Channel) {
+	cr.free[ch]++
+	cr.avail |= 1 << ch
+}
 
 // CheckBounds panics if any channel has more free credits than its
 // configured capacity — that would indicate a double release.

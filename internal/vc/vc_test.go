@@ -182,3 +182,33 @@ func uniformConfig(n int) Config {
 	cfg.SpecialBufs = 1
 	return cfg
 }
+
+// TestCreditsMaskTracksAvailable drives random reserves and releases over
+// every channel and checks the availability word against Available after
+// each one.
+func TestCreditsMaskTracksAvailable(t *testing.T) {
+	cfg := uniformConfig(2)
+	cr := NewCredits(cfg)
+	held := make([]int, NumChannels)
+	f := func(ops []uint8) bool {
+		for _, op := range ops {
+			ch := Channel(op % NumChannels)
+			if op&0x80 != 0 && cr.Available(ch) {
+				cr.Reserve(ch)
+				held[ch]++
+			} else if held[ch] > 0 {
+				cr.Release(ch)
+				held[ch]--
+			}
+			for c := Channel(0); c < NumChannels; c++ {
+				if cr.Mask()>>c&1 == 1 != cr.Available(c) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
