@@ -1,9 +1,11 @@
 # Developer entry points. Everything here is a thin wrapper over the Go
-# toolchain and cmd/sweep; CI runs the same commands.
+# toolchain and cmd/sweep; CI runs the same commands. The simulator's
+# benchmark is perfbench (`bash perfbench/run.sh`, see perfbench/README.md);
+# bench-arbiters and bench-router are its per-layer Go microbenchmarks.
 
 GO ?= go
 
-.PHONY: build test race bench bench-arbiters bench-router bench-check cover cover-check fmt vet figures
+.PHONY: build test race race-pools bench-arbiters bench-router cover cover-check fmt vet figures
 
 build:
 	$(GO) build ./...
@@ -19,7 +21,8 @@ race:
 # specifically: the tick-wheel scheduler, the packet arena, the router
 # slab/rings, and the workload injection queues — plus the oracle and
 # telemetry hook paths (invariant checker, obs counters/flight rings,
-# replicated/checked/instrumented Runner fan-outs, and the daemon's
+# replicated/checked/instrumented Runner fan-outs, the claims dataset's
+# single flat pool over every figure's jobs, and the daemon's
 # shared metrics under concurrent scrapes), the fleet dispatch paths
 # (heartbeats racing the dispatcher's liveness flips, the daemon's shard
 # semaphore and drain flag under concurrent requests), and the bitplane
@@ -37,7 +40,7 @@ race-pools:
 		./internal/sim ./internal/packet ./internal/vc ./internal/router ./internal/workload
 	$(GO) test -race -count=1 -run 'Differential|Matrix|Bitplane' ./internal/core
 	$(GO) test -race -count=1 ./internal/check ./internal/obs ./internal/topology
-	$(GO) test -race -count=1 -run 'Replicated|CheckedRunMatches|Metrics|TorusSharded' ./internal/experiment
+	$(GO) test -race -count=1 -run 'Replicated|CheckedRunMatches|Metrics|TorusSharded|CollectDatasetHonors|SharedAbort|AbortedSweep' ./internal/experiment
 	$(GO) test -race -count=1 -run 'Metrics|Flight|Differential' ./internal/router
 	$(GO) test -race -count=1 ./internal/fleet
 	$(GO) test -race -count=1 -run 'Metrics|Pprof|Shard|Drain|Healthz|BodyLimit' ./cmd/sweepd
@@ -53,10 +56,6 @@ cover:
 cover-check: cover
 	$(GO) run ./cmd/covercheck -profile cover.out -floors COVERAGE.json
 
-# bench runs the benchmark suite and writes BENCH_10.json into bench-out/.
-bench:
-	$(GO) run ./cmd/sweep -bench -out bench-out
-
 # bench-arbiters runs the per-kernel Arbitrate microbenchmarks (bitplane
 # kernels and their retained scalar references side by side).
 bench-arbiters:
@@ -66,12 +65,6 @@ bench-arbiters:
 # or PIM1/WFA cycle of a single router held at saturation.
 bench-router:
 	$(GO) test ./internal/router -run '^$$' -bench 'Tick' -benchmem
-
-# bench-check compares a fresh run against the committed baseline and
-# fails on >15% calibration-normalized regression in ns/simulated-cycle
-# (or allocations). This is the CI perf gate.
-bench-check:
-	$(GO) run ./cmd/sweep -bench -out bench-out -bench-baseline BENCH_10.json
 
 fmt:
 	gofmt -l .

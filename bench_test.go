@@ -13,156 +13,21 @@ import (
 	"alpha21364/internal/traffic"
 )
 
-// benchOpts keeps figure benchmarks short enough for `go test -bench=.`
-// while preserving each figure's qualitative shape. Full-fidelity runs are
-// produced by `go run ./cmd/sweep` (75,000 cycles, full sweeps).
-// Workers is pinned to 1 so these benchmarks measure the serial sweep
-// path; the *Parallel variants below measure the worker-pool path.
-var benchOpts = experiment.Options{Quick: true, CyclesOverride: 4000, MaxRatePoints: 3, Seed: 1, Workers: 1}
+// ablationCycles keeps the ablation tables short enough for
+// `go test -bench=Ablation` while preserving their qualitative shape.
+// The paper's figures themselves are regenerated by `go run ./cmd/sweep`,
+// and simulator speed is measured by perfbench, `make bench-arbiters`
+// and `make bench-router`.
+const ablationCycles = 4000
 
-// benchOptsParallel is benchOpts with the sweep runner fanned across all
-// CPUs (Workers 0 = GOMAXPROCS). Comparing a figure benchmark against its
-// Parallel variant shows the sweep engine's speedup on the machine.
-var benchOptsParallel = func() experiment.Options {
-	o := benchOpts
-	o.Workers = 0
-	return o
-}()
-
-// printOnce emits each figure's table a single time per test binary run,
-// so the benchmark harness reproduces the paper's rows without spamming
-// every b.N iteration.
+// printOnce emits each ablation's table a single time per test binary
+// run, so the benchmark harness reproduces the paper's rows without
+// spamming every b.N iteration.
 var printed sync.Map
 
 func printOnce(key string, render func() string) {
 	if _, loaded := printed.LoadOrStore(key, true); !loaded {
 		fmt.Println(render())
-	}
-}
-
-// BenchmarkFigure8 regenerates the standalone matching-capability sweep
-// (matches/cycle vs load for MCM, WFA, PIM, PIM1, SPAA).
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Figure8(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("fig8", func() string { return res.Table().Format() })
-	}
-}
-
-// BenchmarkFigure9 regenerates the output-port occupancy sweep.
-func BenchmarkFigure9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Figure9(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("fig9", func() string { return res.Table().Format() })
-	}
-}
-
-// benchPanel runs one timing panel per iteration on the serial path.
-func benchPanel(b *testing.B, key string, run func(experiment.Options) (experiment.Panel, error)) {
-	benchPanelOpts(b, benchOpts, key, run)
-}
-
-// benchPanelOpts is benchPanel with explicit options, so the same figure
-// can be benchmarked serially and through the parallel runner.
-func benchPanelOpts(b *testing.B, o experiment.Options, key string, run func(experiment.Options) (experiment.Panel, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		p, err := run(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce(key, func() string { return p.Table().Format() })
-	}
-}
-
-// figure10Panel selects one of Figure 10's four panels.
-func figure10Panel(idx int) func(experiment.Options) (experiment.Panel, error) {
-	return func(o experiment.Options) (experiment.Panel, error) {
-		panels, err := experiment.Figure10(o)
-		if err != nil {
-			return experiment.Panel{}, err
-		}
-		return panels[idx], nil
-	}
-}
-
-func BenchmarkFigure10_4x4Random(b *testing.B) {
-	benchPanel(b, "fig10a", figure10Panel(0))
-}
-
-func BenchmarkFigure10_8x8Random(b *testing.B) {
-	benchPanel(b, "fig10b", figure10Panel(1))
-}
-
-func BenchmarkFigure10_8x8BitReversal(b *testing.B) {
-	benchPanel(b, "fig10c", figure10Panel(2))
-}
-
-func BenchmarkFigure10_8x8PerfectShuffle(b *testing.B) {
-	benchPanel(b, "fig10d", figure10Panel(3))
-}
-
-// BenchmarkFigure10_Saturation regenerates the saturation companion panel
-// (64 outstanding misses) in which the Rotary Rule's post-saturation
-// behavior is visible; see EXPERIMENTS.md.
-func BenchmarkFigure10_Saturation(b *testing.B) {
-	benchPanel(b, "fig10s", experiment.Figure10Saturation)
-}
-
-func BenchmarkFigure11a(b *testing.B) {
-	benchPanel(b, "fig11a", experiment.Figure11a)
-}
-
-func BenchmarkFigure11b(b *testing.B) {
-	benchPanel(b, "fig11b", experiment.Figure11b)
-}
-
-func BenchmarkFigure11c(b *testing.B) {
-	benchPanel(b, "fig11c", experiment.Figure11c)
-}
-
-// ---- parallel sweep-runner variants ----
-//
-// These regenerate the same figures through the worker pool (one worker
-// per CPU). The tables they print are byte-identical to the serial
-// benchmarks' tables; only the wall-clock differs.
-
-func BenchmarkFigure8Parallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.Figure8(benchOptsParallel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printOnce("fig8", func() string { return res.Table().Format() })
-	}
-}
-
-func BenchmarkFigure10_8x8RandomParallel(b *testing.B) {
-	benchPanelOpts(b, benchOptsParallel, "fig10b", figure10Panel(1))
-}
-
-func BenchmarkFigure10_SaturationParallel(b *testing.B) {
-	benchPanelOpts(b, benchOptsParallel, "fig10s", experiment.Figure10Saturation)
-}
-
-func BenchmarkFigure11cParallel(b *testing.B) {
-	benchPanelOpts(b, benchOptsParallel, "fig11c", experiment.Figure11c)
-}
-
-// BenchmarkCollectDatasetParallel runs the entire evaluation pipeline —
-// every figure, overlapped — through the runner, the workload behind
-// `sweep -verify`.
-func BenchmarkCollectDatasetParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.CollectDataset(benchOptsParallel); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -227,7 +92,7 @@ func BenchmarkAblationRotary(b *testing.B) {
 		for _, k := range []core.Kind{core.KindSPAABase, core.KindSPAARotary, core.KindWFABase, core.KindWFARotary} {
 			res, err := experiment.RunTiming(experiment.TimingSetup{
 				Width: 8, Height: 8, Kind: k, Pattern: traffic.Uniform,
-				Rate: 0.09, MaxOutstanding: 64, Cycles: benchOpts.TimingCycles(), Seed: 1,
+				Rate: 0.09, MaxOutstanding: 64, Cycles: ablationCycles, Seed: 1,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -293,7 +158,7 @@ func runCustomRouterKind(b *testing.B, kind core.Kind, mutate func(*router.Confi
 	b.Helper()
 	res, err := experiment.RunTimingWithRouter(experiment.TimingSetup{
 		Width: 8, Height: 8, Kind: kind, Pattern: traffic.Uniform,
-		Rate: rate, Cycles: benchOpts.TimingCycles(), Seed: 1,
+		Rate: rate, Cycles: ablationCycles, Seed: 1,
 	}, mutate)
 	if err != nil {
 		b.Fatal(err)
@@ -353,44 +218,4 @@ func BenchmarkAblationPickerWindow(b *testing.B) {
 			}.Format()
 		})
 	}
-}
-
-// ---- microbenchmarks of the arbitration algorithms themselves ----
-
-func benchArbiter(b *testing.B, kind core.Kind) {
-	rng := sim.NewRNG(1)
-	arb := core.New(kind, rng.Split())
-	m := core.NewRouterMatrix()
-	key := uint64(1)
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			if rng.Bernoulli(0.5) {
-				m.Set(r, c, int64(rng.Intn(1000)), key, 0)
-				key++
-			}
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arb.Arbitrate(m)
-	}
-}
-
-func BenchmarkArbitrateSPAA(b *testing.B) { benchArbiter(b, core.KindSPAABase) }
-func BenchmarkArbitrateWFA(b *testing.B)  { benchArbiter(b, core.KindWFABase) }
-func BenchmarkArbitratePIM1(b *testing.B) { benchArbiter(b, core.KindPIM1) }
-func BenchmarkArbitratePIM(b *testing.B)  { benchArbiter(b, core.KindPIM) }
-func BenchmarkArbitrateMCM(b *testing.B)  { benchArbiter(b, core.KindMCM) }
-
-// BenchmarkRouterCycle measures the cost of simulating one router cycle of
-// a loaded 8x8 network — the simulator's core inner loop.
-func BenchmarkRouterCycle(b *testing.B) {
-	res, err := experiment.RunTiming(experiment.TimingSetup{
-		Width: 8, Height: 8, Kind: SPAABase, Pattern: Uniform,
-		Rate: 0.03, Cycles: b.N/64 + 1000, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = res
 }

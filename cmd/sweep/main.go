@@ -2,7 +2,7 @@
 // and saves declarative simulation Specs, executes them through the
 // context-aware streaming Runner, regenerates the paper's figures (which
 // are canned Specs), runs scenario matrices, records/replays injection
-// traces, and runs the benchmark suite. Tables (or, with -json, Result
+// traces, and checks the paper's claims. Tables (or, with -json, Result
 // JSONL) go to stdout; diagnostics and -progress lines go to stderr, so
 // piping stdout stays machine-readable. With -out it also writes CSV
 // files and Result JSONL documents.
@@ -18,7 +18,7 @@
 //	      [-model M] [-size WxH] [-cycles N]
 //	sweep -run [-algo A] [-pattern P] [-process X] [-rate R] [-size WxH]
 //	      [-record FILE | -replay FILE]
-//	sweep -bench [-out DIR] [-bench-baseline BENCH_10.json]
+//	sweep -verify [-quick] [-seed N] [-markdown] [-workers N] [-progress]
 //	sweep -list
 //
 // Any sweep mode (figure, matrix, run, spec) accepts -cache-dir DIR to
@@ -42,9 +42,11 @@
 // -cpuprofile and -memprofile write pprof profiles for any mode.
 // Contradictory flag combinations (for example -record with -matrix, or
 // -replay with -pattern) are rejected with an error instead of silently
-// ignoring flags. Simulations within a figure or matrix are independent,
-// so by default they are fanned across one worker per CPU; results are
-// byte-identical to a serial (-workers 1) run.
+// ignoring flags; in particular the axis flags (-cycles, -size, -algo,
+// -pattern, -rate, ...) belong to -matrix and -run, and the canned
+// figures and -verify reject them. Simulations within a figure or matrix
+// are independent, so by default they are fanned across one worker per
+// CPU; results are byte-identical to a serial (-workers 1) run.
 package main
 
 import (
@@ -56,6 +58,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -155,8 +158,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fleetAddrs := fs.String("fleet", "", "comma-separated sweepd worker addresses (host:port): dispatch shards to the fleet instead of simulating in-process")
 	fleetTimeout := fs.Duration("fleet-timeout", fleet.DefaultTimeout, "with -fleet, per-attempt shard timeout before the worker is declared hung and the shard reassigned")
 	fleetRetries := fs.Int("fleet-retries", fleet.DefaultRetries, "with -fleet, how many times a failed shard is re-dispatched (0 = single attempt)")
-	bench := fs.Bool("bench", false, "run the benchmark suite and write BENCH_10.json")
-	benchBaseline := fs.String("bench-baseline", "", "with -bench, compare against this BENCH_*.json and fail on >15% regression")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 
@@ -182,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	a := &app{out: stdout, log: logger, json: *jsonOut, dir: *out, stable: *stable}
 
 	o := experiment.Options{
-		Quick: *quick, Seed: *seed, Workers: *workers,
+		Quick: *quick, Seed: *seed,
 		Check: *checkFlag, Metrics: *metricsFlag,
 		Replications: *reps, Confidence: *confidence,
 		TorusShards: *torusShards,
@@ -192,9 +193,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	runnerOpts = append(runnerOpts, experiment.WithWorkers(*workers))
 	if *progress {
 		start := time.Now()
-		o.Progress = func(done, total int, label string) {
-			logger.Printf("[%3d/%3d %6s] %s", done, total, time.Since(start).Round(time.Second), label)
-		}
 		eventSink = func(e experiment.Event) {
 			elapsed := time.Since(start).Round(time.Second)
 			switch e.Type {
@@ -303,8 +301,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		return a.runSpecs(specs, *plot)
-	case *bench:
-		return a.runBench(*benchBaseline)
 	case *matrix:
 		sp, err := matrixSpec(o, *algos, *patterns, *processes, *rates, *model, *size, *cycles)
 		if err != nil {
@@ -343,7 +339,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		logger.Printf("done in %v", time.Since(start).Round(time.Second))
 		return nil
 	case *verify:
-		dataset, err := experiment.CollectDataset(o)
+		dataset, err := experiment.CollectDataset(o, runnerOpts...)
 		if err != nil {
 			return err
 		}
@@ -388,9 +384,12 @@ type contradiction struct {
 	a, b, why string
 }
 
-// requirement is a flag that is meaningless without another flag.
+// requirement is a flag that is meaningless without at least one of the
+// needs flags.
 type requirement struct {
-	flag, needs, why string
+	flag  string
+	needs []string
+	why   string
 }
 
 // contradictions is the full rule table, built once; main_test.go
@@ -398,12 +397,32 @@ type requirement struct {
 var contradictions = buildContradictions()
 
 // requirements lists the dependent flags; enumerated by the same test.
-var requirements = []requirement{
-	{"bench-baseline", "bench", "the baseline comparison is part of bench mode"},
-	{"resume", "cache-dir", "resuming reads completed points from the cache"},
-	{"fleet-timeout", "fleet", "the attempt timeout governs fleet dispatch"},
-	{"fleet-retries", "fleet", "the retry budget governs fleet dispatch"},
+var requirements = buildRequirements()
+
+func buildRequirements() []requirement {
+	rules := []requirement{
+		{"resume", []string{"cache-dir"}, "resuming reads completed points from the cache"},
+		{"fleet-timeout", []string{"fleet"}, "the attempt timeout governs fleet dispatch"},
+		{"fleet-retries", []string{"fleet"}, "the retry budget governs fleet dispatch"},
+	}
+	// Axis flags describe a -matrix or -run scenario; without one of those
+	// modes the default figure mode would silently ignore them. (-record
+	// and -replay imply -run.)
+	for _, f := range []string{"cycles", "size", "model"} {
+		rules = append(rules, requirement{f, []string{"matrix", "run", "record", "replay"}, "the canned figures fix their own axes"})
+	}
+	for _, f := range []string{"algo", "pattern", "process", "rate"} {
+		rules = append(rules, requirement{f, []string{"run", "record", "replay"}, "single-run axis flags describe a -run scenario"})
+	}
+	for _, f := range []string{"algos", "patterns", "processes", "rates"} {
+		rules = append(rules, requirement{f, []string{"matrix"}, "matrix axis flags describe a -matrix scenario"})
+	}
+	return rules
 }
+
+// axisFlags are the scenario axes only -matrix and -run consume.
+var axisFlags = []string{"cycles", "size", "model",
+	"algo", "algos", "pattern", "patterns", "process", "processes", "rate", "rates"}
 
 func buildContradictions() []contradiction {
 	var rules []contradiction
@@ -412,14 +431,13 @@ func buildContradictions() []contradiction {
 	// (The execution flags -workers/-progress/-json/-out and the cache
 	// flags -cache-dir/-resume/-shards deliberately remain compatible:
 	// they change how a spec runs, never what it means.)
-	for _, f := range []string{"figure", "matrix", "run", "verify", "bench", "quick", "seed", "cycles", "size",
+	for _, f := range []string{"figure", "matrix", "run", "verify", "quick", "seed", "cycles", "size",
 		"algo", "algos", "pattern", "patterns", "process", "processes", "model", "rate", "rates", "record", "replay",
 		"check", "metrics", "reps", "confidence", "torus-shards"} {
 		add("spec", f, "a spec file fixes the whole scenario; edit the file instead")
 	}
 	add("emit-spec", "spec", "emitting a loaded spec is a copy; use the file directly")
 	add("emit-spec", "verify", "claim verification has no single spec form")
-	add("emit-spec", "bench", "the bench suite is fixed; run it directly")
 	add("emit-spec", "json", "-emit-spec already writes Spec JSON to stdout")
 	add("record", "replay", "a run either records or replays, not both")
 	// Mode selectors are mutually exclusive.
@@ -429,14 +447,13 @@ func buildContradictions() []contradiction {
 	add("run", "figure", "pick one mode")
 	add("run", "verify", "pick one mode")
 	add("figure", "verify", "claim verification always reruns every figure")
-	add("bench", "figure", "the bench suite is fixed")
-	add("bench", "matrix", "the bench suite is fixed")
-	add("bench", "run", "the bench suite is fixed")
-	add("bench", "verify", "the bench suite is fixed")
-	add("bench", "json", "the bench report is already machine-readable (BENCH_*.json)")
-	add("bench", "workers", "the bench suite measures one simulation at a time (serial by design)")
-	add("bench", "progress", "bench entries are logged to stderr as they finish")
 	add("verify", "json", "claim verification emits verdict tables, not Results")
+	// The canned figures fix their own topology, algorithms, workload and
+	// run length; axis flags would be silently ignored.
+	for _, f := range axisFlags {
+		add("figure", f, "the canned figure specs fix their own axes; use -matrix or -run")
+		add("verify", f, "claim verification reruns the canned figures unchanged")
+	}
 	// Replay fixes the injection stream; generative knobs contradict it.
 	for _, f := range []string{"pattern", "rate", "process", "model"} {
 		add("replay", f, "a replayed trace fixes the injection stream")
@@ -453,14 +470,10 @@ func buildContradictions() []contradiction {
 	} {
 		add(pair[0], pair[1], "that axis flag belongs to the other mode")
 	}
-	// The bench suite measures the unchecked, unreplicated hot path.
-	add("bench", "check", "the bench suite measures the unchecked hot path; see DESIGN.md for the enabled cost model")
-	add("bench", "reps", "the bench suite is fixed")
-	add("bench", "metrics", "the bench suite measures the uninstrumented hot path")
 	add("verify", "metrics", "claim verification compares measurements, not telemetry")
 	// -stable normalizes emitted Results; modes that emit something else
 	// have nothing to normalize.
-	for _, f := range []string{"emit-spec", "bench", "verify", "list"} {
+	for _, f := range []string{"emit-spec", "verify", "list"} {
 		add(f, "stable", "-stable normalizes emitted Results; this mode emits none")
 	}
 	// Recording replays every replication into the same trace file.
@@ -471,11 +484,10 @@ func buildContradictions() []contradiction {
 	for _, f := range []string{"record", "replay"} {
 		add(f, "torus-shards", "trace record/replay runs on the single-engine path; drop -torus-shards")
 	}
-	add("bench", "torus-shards", "the bench suite fixes its own shard counts (see the timing-16x16-saturated entries)")
 	add("verify", "torus-shards", "claim verification always reruns the figures single-engine")
 	// The cache serves sweep results; modes that measure or emit
 	// something other than sweep Results cannot use it.
-	for _, f := range []string{"bench", "verify", "emit-spec", "list"} {
+	for _, f := range []string{"verify", "emit-spec", "list"} {
 		add("cache-dir", f, "the result cache applies to sweep execution only")
 		add("shards", f, "shard decomposition applies to sweep execution only")
 		add("fleet", f, "fleet dispatch applies to sweep execution only")
@@ -500,9 +512,10 @@ func rejectContradictions(set map[string]bool) error {
 		}
 	}
 	for _, r := range requirements {
-		if set[r.flag] && !set[r.needs] {
-			return fmt.Errorf("-%s requires -%s: %s", r.flag, r.needs, r.why)
+		if !set[r.flag] || slices.ContainsFunc(r.needs, func(f string) bool { return set[f] }) {
+			continue
 		}
+		return fmt.Errorf("-%s requires -%s: %s", r.flag, strings.Join(r.needs, " or -"), r.why)
 	}
 	return nil
 }
@@ -675,56 +688,6 @@ func modelName(m string) string {
 		return "coherence"
 	}
 	return m
-}
-
-// benchRegressionTolerance is the CI gate: a benchmark entry failing by
-// more than this fraction against the committed baseline fails the run.
-const benchRegressionTolerance = 0.15
-
-// runBench executes the benchmark suite (experiment.RunBench: Spec-driven
-// workloads through the ordinary Runner, plus the coordinated entry
-// through the sharded Coordinator), writes BENCH_10.json, and, when a
-// baseline is given, fails on >15% calibration-normalized regression.
-func (a *app) runBench(baseline string) error {
-	dir := a.dir
-	if dir == "" {
-		dir = "."
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	start := time.Now()
-	rep, err := experiment.RunBench(context.Background())
-	if err != nil {
-		return err
-	}
-	for _, e := range rep.Entries {
-		a.log.Printf("%-22s %8.1f ns/cycle  %7.2f allocs/cycle  %6.1f points/s",
-			e.Name, e.NSPerSimCycle, e.AllocsPerCycle, e.PointsPerSec)
-	}
-	path := filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", experiment.BenchVersion))
-	if err := rep.WriteFile(path); err != nil {
-		return err
-	}
-	a.log.Printf("wrote %s in %v (calibration %.2f ns/iter)", path,
-		time.Since(start).Round(time.Millisecond), rep.CalibrationNS)
-	if baseline == "" {
-		return nil
-	}
-	base, err := experiment.ReadBenchFile(baseline)
-	if err != nil {
-		return err
-	}
-	regressions := rep.Compare(base, benchRegressionTolerance)
-	for _, r := range regressions {
-		a.log.Printf("REGRESSION: %s", r)
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("%d benchmark regression(s) beyond %.0f%% against %s",
-			len(regressions), 100*benchRegressionTolerance, baseline)
-	}
-	a.log.Printf("no regressions beyond %.0f%% against %s", 100*benchRegressionTolerance, baseline)
-	return nil
 }
 
 // matrixSpec parses the -matrix flags into a Spec.

@@ -3,9 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,11 +88,9 @@ func TestTableOutputStdoutSeparation(t *testing.T) {
 // rules surface as errors, not silent behavior.
 func TestContradictoryFlagsRejected(t *testing.T) {
 	cases := [][]string{
-		{"-bench", "-figure", "8"},
-		{"-bench-baseline", "x.json"},
 		{"-emit-spec", "-json"},
 		{"-record", "a", "-replay", "b"},
-		{"-cache-dir", "d", "-bench"},
+		{"-cache-dir", "d", "-verify"},
 		{"-cache-dir", "d", "-record", "a", "-run"},
 		{"-shards", "4", "-verify"},
 		{"-resume"},
@@ -103,6 +101,32 @@ func TestContradictoryFlagsRejected(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err == nil {
 			t.Errorf("args %v: expected an error", args)
+		}
+	}
+}
+
+// TestFigureModeRejectsAxisFlags: the canned figures and -verify fix
+// their own axes, so an axis flag next to them — explicit -figure,
+// -verify, or the default figure mode — is an error, not a silently
+// ignored setting.
+func TestFigureModeRejectsAxisFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-figure", "8", "-quick", "-cycles", "50"}, "contradictory"},
+		{[]string{"-figure", "8", "-quick", "-algo", "PIM1", "-size", "3x3"}, "contradictory"},
+		{[]string{"-verify", "-quick", "-cycles", "100"}, "contradictory"},
+		{[]string{"-quick", "-cycles", "50"}, "requires -matrix or -run"},
+		{[]string{"-quick", "-rates", "0.01"}, "requires -matrix"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(tc.args, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: err = %v, want one mentioning %q", tc.args, err, tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("args %v: rejected invocation still wrote results:\n%s", tc.args, stdout.String())
 		}
 	}
 }
@@ -145,14 +169,14 @@ func TestTorusShardsFlagMatchesSerial(t *testing.T) {
 // mention, so the enumeration tests can set any flag by name.
 var ruleSamples = map[string]string{
 	"spec": "specs.json", "figure": "8", "matrix": "true", "run": "true",
-	"verify": "true", "bench": "true", "quick": "true", "seed": "2",
+	"verify": "true", "quick": "true", "seed": "2",
 	"cycles": "100", "size": "4x4", "algo": "PIM1", "algos": "PIM1",
 	"pattern": "random", "patterns": "random", "process": "bernoulli",
 	"processes": "bernoulli", "model": "coherence", "rate": "0.02",
 	"rates": "0.02", "record": "t.trace", "replay": "t.trace",
 	"check": "true", "reps": "2", "confidence": "0.9", "emit-spec": "true",
 	"json": "true", "workers": "2", "progress": "true", "list": "true",
-	"cache-dir": "cachedir", "shards": "4", "bench-baseline": "BENCH.json",
+	"cache-dir": "cachedir", "shards": "4",
 	"resume": "true", "metrics": "true", "stable": "true",
 	"fleet": "127.0.0.1:9", "fleet-timeout": "2m", "fleet-retries": "2",
 	"torus-shards": "2",
@@ -189,7 +213,8 @@ func TestEveryContradictionRuleRejects(t *testing.T) {
 }
 
 // TestEveryRequirementRuleRejects enumerates the requirement table: each
-// dependent flag, set alone, must be rejected naming its prerequisite.
+// dependent flag, set alone, must be rejected naming every flag that
+// would satisfy it.
 func TestEveryRequirementRuleRejects(t *testing.T) {
 	for _, r := range requirements {
 		args := []string{sampleArg(t, r.flag)}
@@ -199,8 +224,10 @@ func TestEveryRequirementRuleRejects(t *testing.T) {
 			t.Errorf("%v: requirement %s -> %s not enforced", args, r.flag, r.needs)
 			continue
 		}
-		if !strings.Contains(err.Error(), "requires -"+r.needs) {
-			t.Errorf("%v: error %q does not name the missing -%s", args, err.Error(), r.needs)
+		for _, need := range r.needs {
+			if !strings.Contains(err.Error(), "-"+need) || !strings.Contains(err.Error(), "requires") {
+				t.Errorf("%v: error %q does not name the missing -%s", args, err.Error(), need)
+			}
 		}
 	}
 }
@@ -226,7 +253,7 @@ func TestRuleTablesWellFormed(t *testing.T) {
 		seen[k] = true
 	}
 	for _, r := range requirements {
-		if r.flag == r.needs || r.why == "" {
+		if len(r.needs) == 0 || slices.Contains(r.needs, r.flag) || r.why == "" {
 			t.Errorf("malformed requirement %+v", r)
 		}
 	}
@@ -344,43 +371,5 @@ func TestResumeFlagContract(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "0 simulated") {
 		t.Fatalf("resumed run re-simulated cached points:\n%s", stderr.String())
-	}
-}
-
-// TestBenchWritesReport runs the bench suite into a temp dir and
-// validates the BENCH_*.json schema, plus the baseline comparison paths.
-func TestBenchWritesReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench suite is seconds-long; skipped in -short")
-	}
-	dir := t.TempDir()
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-bench", "-out", dir}, &stdout, &stderr); err != nil {
-		t.Fatalf("bench: %v\nstderr:\n%s", err, stderr.String())
-	}
-	rep, err := experiment.ReadBenchFile(fmt.Sprintf("%s/BENCH_%d.json", dir, experiment.BenchVersion))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Entries) == 0 || rep.CalibrationNS <= 0 {
-		t.Fatalf("bench report malformed: %+v", rep)
-	}
-	for _, e := range rep.Entries {
-		if e.NSPerSimCycle <= 0 || e.SimCycles <= 0 {
-			t.Fatalf("bench entry %s has empty measurements: %+v", e.Name, e)
-		}
-	}
-	// Comparing a report against itself must pass the gate...
-	if regs := rep.Compare(rep, 0.15); len(regs) != 0 {
-		t.Fatalf("self-comparison reported regressions: %v", regs)
-	}
-	// ...and a doctored 2x-faster baseline must fail it.
-	faster := *rep
-	faster.Entries = append([]experiment.BenchEntryResult(nil), rep.Entries...)
-	for i := range faster.Entries {
-		faster.Entries[i].NSPerSimCycle /= 2
-	}
-	if regs := rep.Compare(&faster, 0.15); len(regs) == 0 {
-		t.Fatal("2x regression not detected against doctored baseline")
 	}
 }

@@ -23,7 +23,7 @@ func benchMatrices() []*Matrix {
 
 // BenchmarkArbitrate times one Arbitrate call per kernel over the shared
 // matrix ladder (ns/op = ns per arbitration). `make bench-arbiters` runs
-// this; RunBench mirrors it as the arbitrate-<kind> BENCH entries.
+// this beside the scalar references.
 func BenchmarkArbitrate(b *testing.B) {
 	ms := benchMatrices()
 	for k := Kind(0); k < NumKinds; k++ {

@@ -1,9 +1,9 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Dataset bundles every figure's results so the paper's cross-figure
@@ -18,48 +18,71 @@ type Dataset struct {
 	Fig11c   Panel
 }
 
-// CollectDataset reruns the full evaluation. The seven figures are
-// themselves runner jobs, so their sweeps overlap instead of running one
-// figure at a time; each job writes a distinct Dataset field, which keeps
-// assembly deterministic whatever order the figures finish in. A shared
-// limiter spans the nested fan-out, so Options.Workers still bounds the
-// total number of concurrent simulations.
-func CollectDataset(o Options) (*Dataset, error) {
-	o = o.limited()
-	// Each overlapping figure has its own progress tracker; share one
-	// mutex across them so the documented one-call-at-a-time guarantee
-	// survives the nesting. (done/total stay per-sweep counts.)
-	if o.Progress != nil {
-		var mu sync.Mutex
-		inner := o.Progress
-		o.Progress = func(done, total int, label string) {
-			mu.Lock()
-			defer mu.Unlock()
-			inner(done, total, label)
-		}
-	}
-	d := &Dataset{}
-	jobs := []jobSpec[struct{}]{
-		{"figure 8", func() (z struct{}, err error) { d.Fig8, err = Figure8(o); return z, err }},
-		{"figure 9", func() (z struct{}, err error) { d.Fig9, err = Figure9(o); return z, err }},
-		{"figure 10", func() (z struct{}, err error) { d.Fig10, err = Figure10(o); return z, err }},
-		{"figure 10 saturation", func() (z struct{}, err error) { d.Fig10Sat, err = Figure10Saturation(o); return z, err }},
-		{"figure 11a", func() (z struct{}, err error) { d.Fig11a, err = Figure11a(o); return z, err }},
-		{"figure 11b", func() (z struct{}, err error) { d.Fig11b, err = Figure11b(o); return z, err }},
-		{"figure 11c", func() (z struct{}, err error) { d.Fig11c, err = Figure11c(o); return z, err }},
-	}
-	// The figure jobs only fan out further: they must not hold simulation
-	// slots themselves (their nested sweeps acquire the shared limiter),
-	// and per-simulation progress comes from those sweeps, so this level
-	// neither limits nor reports.
-	top := o
-	top.sem = nil
-	top.Progress = nil
-	top.Workers = len(jobs)
-	if _, _, err := runJobs(top, jobs); err != nil {
+// CollectDataset reruns the full evaluation: every canned figure Spec
+// built from o is expanded, and all their simulations run as one run of
+// a Runner configured by opts, in one worker pool. WithWorkers therefore
+// bounds the concurrent simulations across all figures, the first
+// failing simulation stops dispatch everywhere and its own error is
+// returned, and WithEventSink observes one event stream whose Done/Total
+// count every simulation of the dataset. Results are assembled by job
+// index, so the Dataset is identical whatever the worker count.
+func CollectDataset(o Options, opts ...RunnerOption) (*Dataset, error) {
+	names, plans, err := datasetPlans(o)
+	if err != nil {
 		return nil, err
 	}
+	r := NewRunner(opts...)
+	results, err := r.runPlans(context.Background(), "claims dataset", plans, r.emitter())
+	if err != nil {
+		return nil, err
+	}
+	d := &Dataset{}
+	for i, res := range results {
+		sp := res.Spec
+		switch names[i] {
+		case "8":
+			d.Fig8 = Figure8Result{
+				LoadFractions:  sp.Standalone.Values,
+				SaturationLoad: res.SaturationLoad,
+				Curves:         res.Curves(),
+			}
+		case "9":
+			d.Fig9 = Figure9Result{Occupancies: sp.Standalone.Values, Curves: res.Curves()}
+		case "10":
+			d.Fig10 = append(d.Fig10, res.Panel())
+		case "10s":
+			d.Fig10Sat = res.Panel()
+		case "11a":
+			d.Fig11a = res.Panel()
+		case "11b":
+			d.Fig11b = res.Panel()
+		case "11c":
+			d.Fig11c = res.Panel()
+		}
+	}
 	return d, nil
+}
+
+// datasetPlans expands every canned figure Spec, in figureSpecNames
+// order, pairing each plan with the name of the figure it belongs to.
+func datasetPlans(o Options) ([]string, []*plan, error) {
+	var names []string
+	var plans []*plan
+	for _, name := range figureSpecNames {
+		specs, err := FigureSpecs(name, o)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, sp := range specs {
+			pl, err := sp.expand()
+			if err != nil {
+				return nil, nil, err
+			}
+			names = append(names, name)
+			plans = append(plans, pl)
+		}
+	}
+	return names, plans, nil
 }
 
 // Verdict is one claim's evaluation.

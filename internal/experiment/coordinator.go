@@ -269,54 +269,50 @@ func (c *Coordinator) Run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 	var freshMu sync.Mutex
 	simulated := 0
-	jobs := make([]jobSpec[*Result], len(shards))
+	jobs := make([]func() (*Result, error), len(shards))
 	for i := range shards {
 		sh := shards[i]
-		jobs[i] = jobSpec[*Result]{
-			label: fmt.Sprintf("shard %d/%d", i+1, len(shards)),
-			run: func() (*Result, error) {
-				shardStart := time.Now()
-				res, attempts, runErr := exec.ExecuteShard(ctx, sh, shardSink)
-				shardNS := time.Since(shardStart).Nanoseconds()
-				c.mu.Lock()
-				c.stats.ShardDurationsNS = append(c.stats.ShardDurationsNS, shardNS)
-				c.stats.ShardAttempts += attempts
-				if attempts > 1 {
-					c.stats.ShardRetries += attempts - 1
-				}
-				c.mu.Unlock()
-				if res == nil {
-					return nil, runErr
-				}
-				pts := flattenPoints(res)
-				if len(pts) > len(sh.Cells) {
-					return nil, fmt.Errorf("experiment: shard returned %d points for %d cells", len(pts), len(sh.Cells))
-				}
-				var firstErr error
-				freshMu.Lock()
-				for j, pt := range pts {
-					merged[sh.Cells[j]] = pt
-					simulated++
-					if cacheable {
-						data, err := json.Marshal(pt)
-						if err == nil {
-							err = c.store.Put(key, cache.Cell{Series: sh.Cells[j].Series, Point: sh.Cells[j].Point}, data)
-						}
-						if err != nil && firstErr == nil {
-							firstErr = err
-						}
+		jobs[i] = func() (*Result, error) {
+			shardStart := time.Now()
+			res, attempts, runErr := exec.ExecuteShard(ctx, sh, shardSink)
+			shardNS := time.Since(shardStart).Nanoseconds()
+			c.mu.Lock()
+			c.stats.ShardDurationsNS = append(c.stats.ShardDurationsNS, shardNS)
+			c.stats.ShardAttempts += attempts
+			if attempts > 1 {
+				c.stats.ShardRetries += attempts - 1
+			}
+			c.mu.Unlock()
+			if res == nil {
+				return nil, runErr
+			}
+			pts := flattenPoints(res)
+			if len(pts) > len(sh.Cells) {
+				return nil, fmt.Errorf("experiment: shard returned %d points for %d cells", len(pts), len(sh.Cells))
+			}
+			var firstErr error
+			freshMu.Lock()
+			for j, pt := range pts {
+				merged[sh.Cells[j]] = pt
+				simulated++
+				if cacheable {
+					data, err := json.Marshal(pt)
+					if err == nil {
+						err = c.store.Put(key, cache.Cell{Series: sh.Cells[j].Series, Point: sh.Cells[j].Point}, data)
+					}
+					if err != nil && firstErr == nil {
+						firstErr = err
 					}
 				}
-				freshMu.Unlock()
-				if runErr != nil {
-					return res, runErr
-				}
-				return res, firstErr
-			},
+			}
+			freshMu.Unlock()
+			if runErr != nil {
+				return res, runErr
+			}
+			return res, firstErr
 		}
 	}
-	o := Options{Workers: c.workers, ctx: ctx}
-	_, _, err = runJobs(o, jobs)
+	_, _, err = runJobs(ctx, c.workers, jobs)
 	if cerr := ctx.Err(); cerr != nil {
 		// The context's own error outranks the per-shard symptom it caused.
 		err = cerr

@@ -1,14 +1,13 @@
 // Package experiment reproduces the paper's evaluation: each figure of §5
-// has a runner that builds the right standalone or timing configuration,
-// sweeps the load axis, and returns the series/tables the paper plots.
-// The cmd/sweep tool and the repository's benchmarks are thin wrappers
-// around this package.
+// is a canned Spec (FigureSpecs) that a Runner executes into a Result,
+// CollectDataset runs every figure in one worker pool, and Verify checks
+// the paper's claims against that dataset. The cmd/sweep tool is a thin
+// wrapper around this package.
 package experiment
 
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"alpha21364/internal/check"
 	"alpha21364/internal/core"
@@ -22,22 +21,19 @@ import (
 	"alpha21364/internal/workload"
 )
 
-// Options tunes how faithfully the experiments are rerun. Quick mode
-// shortens the simulations for CI and benchmarks; the full mode matches
-// the paper's 75,000-cycle runs.
+// Options tunes how faithfully the canned figure Specs rerun the
+// experiments. Quick mode shortens the simulations for CI; the full mode
+// matches the paper's 75,000-cycle runs. How the Specs execute (worker
+// count, events) is the Runner's business.
 type Options struct {
 	Quick bool
 	Seed  uint64
 	// CyclesOverride, when positive, replaces the per-run router cycle
-	// count (used by the benchmark harness).
+	// count (tests use it to shrink the canned figures).
 	CyclesOverride int
 	// MaxRatePoints, when positive, subsamples each load sweep to at most
 	// this many points, always keeping the lightest and heaviest loads.
 	MaxRatePoints int
-	// Workers bounds how many simulations run concurrently: 0 means one
-	// per available CPU, 1 (or any negative value) runs serially. Results
-	// are byte-identical regardless of the worker count.
-	Workers int
 	// Check enables the online invariant oracle on every canned spec the
 	// options build (cmd/sweep -check).
 	Check bool
@@ -54,17 +50,6 @@ type Options struct {
 	// options build into that many row bands (cmd/sweep -torus-shards);
 	// standalone-model specs have no torus and are left unstamped.
 	TorusShards int
-	// Progress, when non-nil, is called once per finished simulation job;
-	// see ProgressFunc.
-	Progress ProgressFunc
-	// sem and abort, when non-nil, are shared across nested fan-outs:
-	// sem bounds simulations globally and abort propagates fail-fast
-	// between sibling sweeps (see Options.limited in runner.go).
-	sem   chan struct{}
-	abort *atomic.Bool
-	// ctx, when non-nil, halts job dispatch once cancelled; Runner.run
-	// sets it from its caller's context.
-	ctx context.Context
 }
 
 // TimingCycles returns the per-run router cycle count.
@@ -238,11 +223,6 @@ type TimingResult struct {
 	LatencyP50NS float64
 	LatencyP95NS float64
 	LatencyP99NS float64
-	// AvgLatencyP99 mirrors LatencyP99NS.
-	//
-	// Deprecated: the name is misleading — the value is a p99 latency,
-	// not an average. Use LatencyP99NS.
-	AvgLatencyP99 float64
 	// EpochFlits and ThroughputCoV are filled when TimingSetup.EpochCycles
 	// is set: delivered flits per epoch and the coefficient of variation
 	// of the post-warmup epochs (a saturation-oscillation measure).
@@ -439,15 +419,14 @@ func runTiming(ctx context.Context, s TimingSetup, mutate func(*router.Config)) 
 	c := net.TotalCounters()
 	lat := col.LatencySummaryNS()
 	res := TimingResult{
-		Point:         point,
-		Completed:     gen.Completed(),
-		DrainEntries:  c.DrainEntries,
-		Collisions:    c.Collisions,
-		MeanHops:      col.MeanHops(),
-		LatencyP50NS:  lat.P50NS,
-		LatencyP95NS:  lat.P95NS,
-		LatencyP99NS:  lat.P99NS,
-		AvgLatencyP99: lat.P99NS,
+		Point:        point,
+		Completed:    gen.Completed(),
+		DrainEntries: c.DrainEntries,
+		Collisions:   c.Collisions,
+		MeanHops:     col.MeanHops(),
+		LatencyP50NS: lat.P50NS,
+		LatencyP95NS: lat.P95NS,
+		LatencyP99NS: lat.P99NS,
 	}
 	if epochs != nil {
 		res.EpochFlits = epochs.Values()
@@ -463,125 +442,11 @@ func runTiming(ctx context.Context, s TimingSetup, mutate func(*router.Config)) 
 	return res, nil
 }
 
-// specFromSetup lifts a hand-built TimingSetup (the deprecated API) into
-// a declarative Spec covering the given algorithms and rate sweep; the
-// adapters keeping the old entry points alive run it through a Runner.
-func specFromSetup(name string, s TimingSetup, kinds []core.Kind, rates []float64) Spec {
-	sp := Spec{
-		Version:  SpecVersion,
-		Name:     name,
-		Arbiters: kindNames(kinds),
-		Check:    s.Check,
-		Topology: &TopologySpec{Width: s.Width, Height: s.Height},
-		Workload: &WorkloadSpec{MaxOutstanding: s.MaxOutstanding},
-		Timing: &TimingSpec{
-			Cycles:         s.Cycles,
-			WarmupFraction: s.WarmupFraction,
-			Seed:           s.Seed,
-			ScalePipeline:  s.ScalePipeline,
-			EpochCycles:    s.EpochCycles,
-		},
-	}
-	if s.ReplayFrom != "" {
-		sp.Workload.ReplayFrom = s.ReplayFrom
-		return sp
-	}
-	sp.Workload.Patterns = []string{s.Pattern.String()}
-	if s.Process != "" {
-		sp.Workload.Processes = []string{s.Process}
-	}
-	sp.Workload.Model = s.Model
-	sp.Workload.Rates = append([]float64(nil), rates...)
-	sp.Workload.RecordTo = s.RecordTo
-	return sp
-}
-
-// Sweep runs a load sweep for one algorithm and returns its BNF curve.
-// The rates are simulated concurrently (one worker per CPU); use SweepOpts
-// to bound or disable the parallelism.
-//
-// Deprecated: build a Spec (NewSpec/WithRates) and execute it with a
-// Runner, which adds cancellation, streaming events, and a serializable
-// Result. This adapter remains for compatibility.
-func Sweep(s TimingSetup, rates []float64) (stats.Series, error) {
-	return SweepOpts(Options{}, s, rates)
-}
-
-// SweepOpts is Sweep with explicit runner options (worker count and
-// progress reporting). Only those two fields of o are consulted; the
-// simulation itself is fully described by s.
-//
-// Deprecated: use a Runner (NewRunner, WithWorkers, WithEventSink); see
-// Sweep.
-func SweepOpts(o Options, s TimingSetup, rates []float64) (stats.Series, error) {
-	series := stats.Series{Label: s.Kind.String()}
-	if len(rates) == 0 {
-		return series, nil
-	}
-	res, err := optionsRunner(o).Run(context.Background(), specFromSetup("sweep", s, []core.Kind{s.Kind}, rates))
-	if res != nil && len(res.Series) > 0 {
-		for _, pt := range res.Series[0].Points {
-			series.Points = append(series.Points, pt.statsPoint())
-		}
-	}
-	return series, err
-}
-
 // Panel is one BNF chart: several algorithms swept over the same loads.
 type Panel struct {
 	Title  string
 	Rates  []float64
 	Series []stats.Series
-}
-
-// runPanel sweeps each algorithm over the panel's rates through the
-// Runner: the kinds×rates grid is one Spec, so the worker pool stays
-// saturated across algorithm boundaries, and assembly by (kind, rate)
-// index keeps the panel identical however the jobs are scheduled.
-func runPanel(title string, o Options, base TimingSetup, kinds []core.Kind, rates []float64) (Panel, error) {
-	if len(rates) == 0 {
-		p := Panel{Title: title, Rates: rates}
-		for _, k := range kinds {
-			p.Series = append(p.Series, stats.Series{Label: k.String()})
-		}
-		return p, nil
-	}
-	res, err := optionsRunner(o).Run(context.Background(), specFromSetup(title, base, kinds, rates))
-	return figurePanel(title, res, err)
-}
-
-// figurePanel converts a Runner result to the old Panel contract: on
-// failure only complete series survive and the error names the panel and
-// the algorithm whose sweep broke.
-func figurePanel(title string, res *Result, err error) (Panel, error) {
-	if res == nil {
-		return Panel{Title: title}, fmt.Errorf("%s: %w", title, err)
-	}
-	p := Panel{Title: title}
-	if res.Spec.Workload != nil {
-		p.Rates = append(p.Rates, res.Spec.Workload.Rates...)
-	}
-	failing := ""
-	for _, s := range res.Series {
-		if len(s.Points) < len(p.Rates) {
-			if failing == "" {
-				failing = s.Arbiter
-			}
-			continue
-		}
-		series := stats.Series{Label: s.Label}
-		for _, pt := range s.Points {
-			series.Points = append(series.Points, pt.statsPoint())
-		}
-		p.Series = append(p.Series, series)
-	}
-	if err != nil {
-		if failing != "" {
-			return p, fmt.Errorf("%s / %s: %w", title, failing, err)
-		}
-		return p, fmt.Errorf("%s: %w", title, err)
-	}
-	return p, nil
 }
 
 // Figure10Kinds are the five algorithms of Figure 10.
@@ -624,64 +489,6 @@ func (o Options) rates(full []float64) []float64 {
 	return out
 }
 
-// runFigureSpec executes one canned figure Spec under the deprecated
-// Options plumbing and converts it to the old Panel contract.
-func runFigureSpec(o Options, sp Spec) (Panel, error) {
-	res, err := optionsRunner(o).Run(context.Background(), sp)
-	return figurePanel(sp.Name, res, err)
-}
-
-// Figure10 reproduces the four BNF panels of Figure 10. Each panel is a
-// canned Spec (FigureSpecs("10", o)) executed by a Runner.
-func Figure10(o Options) ([]Panel, error) {
-	specs, err := FigureSpecs("10", o)
-	if err != nil {
-		return nil, err
-	}
-	var panels []Panel
-	for _, sp := range specs {
-		p, err := runFigureSpec(o, sp)
-		if err != nil {
-			return panels, err
-		}
-		panels = append(panels, p)
-	}
-	return panels, nil
-}
-
-// Figure10Saturation is a companion panel to Figure 10: the same 8x8
-// random-traffic sweep with the outstanding-miss limit raised to 64.
-//
-// Why it exists: with the 21364's strict 16-miss limit, at most 1024
-// packets are ever in flight in an 8x8 machine — far too few to fill the
-// routers' buffers — so in our reconstruction the closed loop reaches a
-// stable equilibrium instead of the post-saturation collapse the paper's
-// Figure 10 shows for the base algorithms. Raising the in-flight pressure
-// reproduces the paper's phenomenon exactly: tree saturation collapses
-// WFA-base/SPAA-base/PIM1 while the Rotary Rule variants hold their peak
-// throughput. See EXPERIMENTS.md for the discussion.
-func Figure10Saturation(o Options) (Panel, error) {
-	return figureFromSpec(o, "10s")
-}
-
-// Figure11a reproduces the 2x-pipeline scaling study (8x8 random).
-func Figure11a(o Options) (Panel, error) { return figureFromSpec(o, "11a") }
-
-// Figure11b reproduces the 64-outstanding-miss study (8x8 random).
-func Figure11b(o Options) (Panel, error) { return figureFromSpec(o, "11b") }
-
-// Figure11c reproduces the 12x12 (144-processor) scaling study.
-func Figure11c(o Options) (Panel, error) { return figureFromSpec(o, "11c") }
-
-// figureFromSpec runs a single-panel canned figure.
-func figureFromSpec(o Options, name string) (Panel, error) {
-	specs, err := FigureSpecs(name, o)
-	if err != nil {
-		return Panel{}, err
-	}
-	return runFigureSpec(o, specs[0])
-}
-
 // StandaloneCurve is one algorithm's standalone match-rate curve.
 type StandaloneCurve struct {
 	Label  string
@@ -701,40 +508,8 @@ var Figure8Kinds = []core.Kind{
 	core.KindMCM, core.KindWFABase, core.KindPIM, core.KindPIM1, core.KindSPAABase,
 }
 
-// Figure8 reproduces the standalone matching-capability sweep. The only
-// possible error is a sweep aborted by a concurrent failure elsewhere in
-// a shared fan-out (CollectDataset).
-func Figure8(o Options) (Figure8Result, error) {
-	specs, _ := FigureSpecs("8", o)
-	sp := specs[0]
-	run, err := optionsRunner(o).Run(context.Background(), sp)
-	res := Figure8Result{LoadFractions: sp.Standalone.Values}
-	if run != nil {
-		res.SaturationLoad = run.SaturationLoad
-	}
-	if err != nil {
-		return res, fmt.Errorf("figure 8: %w", err)
-	}
-	res.Curves = run.Curves()
-	return res, nil
-}
-
 // Figure9Result holds the occupancy sweep at the MCM saturation load.
 type Figure9Result struct {
 	Occupancies []float64
 	Curves      []StandaloneCurve
-}
-
-// Figure9 reproduces the output-port occupancy sweep. As with Figure8,
-// the only possible error is a sweep aborted by a shared fan-out.
-func Figure9(o Options) (Figure9Result, error) {
-	specs, _ := FigureSpecs("9", o)
-	sp := specs[0]
-	run, err := optionsRunner(o).Run(context.Background(), sp)
-	res := Figure9Result{Occupancies: sp.Standalone.Values}
-	if err != nil {
-		return res, fmt.Errorf("figure 9: %w", err)
-	}
-	res.Curves = run.Curves()
-	return res, nil
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -87,14 +88,14 @@ func TestRotaryHoldsThroughputBeyondSaturation(t *testing.T) {
 }
 
 func TestSweepProducesMonotoneOfferedRates(t *testing.T) {
-	s := TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: traffic.Uniform,
-		Cycles: 3000, Seed: 1,
-	}
-	series, err := Sweep(s, []float64{0.005, 0.02, 0.05})
+	res, err := NewRunner().Run(context.Background(), NewSpec(
+		WithTopology(4, 4), WithArbiters("SPAA-base"), WithPatterns("random"),
+		WithRates(0.005, 0.02, 0.05), WithCycles(3000), WithSeed(1),
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
+	series := res.Panel().Series[0]
 	if len(series.Points) != 3 {
 		t.Fatalf("points = %d, want 3", len(series.Points))
 	}
@@ -108,11 +109,27 @@ func TestSweepProducesMonotoneOfferedRates(t *testing.T) {
 	}
 }
 
-func TestFigure8And9Tables(t *testing.T) {
-	o := Options{Quick: true, Seed: 1}
-	f8, err := Figure8(o)
+// runCanned runs a single-spec canned figure through a Runner.
+func runCanned(t *testing.T, name string, o Options) (Spec, *Result) {
+	t.Helper()
+	specs, err := FigureSpecs(name, o)
 	if err != nil {
 		t.Fatal(err)
+	}
+	res, err := NewRunner().Run(context.Background(), specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return specs[0], res
+}
+
+func TestFigure8And9Tables(t *testing.T) {
+	o := Options{Quick: true, Seed: 1}
+	sp8, res8 := runCanned(t, "8", o)
+	f8 := Figure8Result{
+		LoadFractions:  sp8.Standalone.Values,
+		SaturationLoad: res8.SaturationLoad,
+		Curves:         res8.Curves(),
 	}
 	if len(f8.Curves) != len(Figure8Kinds) {
 		t.Fatalf("figure 8 curves = %d", len(f8.Curves))
@@ -125,23 +142,13 @@ func TestFigure8And9Tables(t *testing.T) {
 		t.Errorf("figure 8 rows = %d", len(table.Rows))
 	}
 
-	f9, err := Figure9(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp9, res9 := runCanned(t, "9", o)
+	f9 := Figure9Result{Occupancies: sp9.Standalone.Values, Curves: res9.Curves()}
 	if len(f9.Occupancies) != 4 {
 		t.Fatalf("figure 9 occupancies = %v", f9.Occupancies)
 	}
 	// The MCM-SPAA gap must shrink as occupancy rises (Figure 9's point).
-	var mcm, spaa []float64
-	for _, c := range f9.Curves {
-		switch c.Label {
-		case "MCM":
-			mcm = c.Values
-		case "SPAA-base":
-			spaa = c.Values
-		}
-	}
+	mcm, spaa := f9.curve("MCM"), f9.curve("SPAA-base")
 	if mcm == nil || spaa == nil {
 		t.Fatal("figure 9 missing curves")
 	}
@@ -157,10 +164,8 @@ func TestFigure8And9Tables(t *testing.T) {
 }
 
 func TestFigure10SaturationPanel(t *testing.T) {
-	p, err := Figure10Saturation(benchOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := runCanned(t, "10s", benchOpts)
+	p := res.Panel()
 	if len(p.Series) != len(Figure10Kinds) {
 		t.Fatalf("series = %d", len(p.Series))
 	}

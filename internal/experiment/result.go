@@ -2,9 +2,8 @@ package experiment
 
 // result.go is the stable machine-readable output schema of the
 // Scenario/Runner API. A Result embeds the Spec that produced it, one
-// series per arbiter (× pattern × process) with properly named latency
-// percentiles — fixing the old TimingResult.AvgLatencyP99 misnomer — and
-// round-trips through both an indented JSON document (WriteFile) and a
+// series per arbiter (× pattern × process) with named latency
+// percentiles, and round-trips through both an indented JSON document (WriteFile) and a
 // line-oriented JSONL stream (EncodeJSONL) suitable for appending and
 // for artifact pipelines.
 
@@ -122,28 +121,6 @@ func timingPoint(r TimingResult) ResultPoint {
 	}
 }
 
-// TimingResult converts the point back to the deprecated TimingResult
-// shape; the adapters keeping the old entry points alive use it.
-func (p ResultPoint) TimingResult() TimingResult {
-	r := TimingResult{
-		Completed:     p.Completed,
-		DrainEntries:  p.DrainEntries,
-		Collisions:    p.Collisions,
-		MeanHops:      p.MeanHops,
-		LatencyP50NS:  p.LatencyP50NS,
-		LatencyP95NS:  p.LatencyP95NS,
-		LatencyP99NS:  p.LatencyP99NS,
-		AvgLatencyP99: p.LatencyP99NS,
-		EpochFlits:    p.EpochFlits,
-		ThroughputCoV: p.ThroughputCoV,
-	}
-	r.OfferedRate = p.Rate
-	r.Throughput = p.Throughput
-	r.AvgLatencyNS = p.AvgLatencyNS
-	r.Packets = p.Packets
-	return r
-}
-
 // statsPoint converts the point to the stats.Point BNF shape.
 func (p ResultPoint) statsPoint() stats.Point {
 	return stats.Point{
@@ -154,8 +131,8 @@ func (p ResultPoint) statsPoint() stats.Point {
 	}
 }
 
-// Panel converts a timing Result to the chart shape the figure adapters
-// and ASCII plotter consume. Every series is included, complete or not
+// Panel converts a timing Result to the chart shape the claims dataset,
+// the figure tables, and the ASCII plotter consume. Every series is included, complete or not
 // (Table renders missing cells as "-").
 func (r *Result) Panel() Panel {
 	p := Panel{Title: r.Spec.Name}

@@ -1,145 +1,61 @@
 package experiment
 
-// runner.go is the parallel sweep engine: every figure's evaluation is a
-// set of independent (figure, kind, rate) simulations, and the runner fans
-// them across a bounded pool of goroutines. Determinism is preserved by
-// construction: each job's entire input — setup, seed, rate — is captured
-// by value before dispatch, nothing is drawn from shared state while jobs
-// execute, and results are assembled by job index. Parallel output is
-// therefore byte-identical to serial output for the same Options.
+// runner.go is the parallel job pool under the Runner and the
+// Coordinator: every sweep is a set of independent simulations, and
+// runJobs fans them across a bounded pool of goroutines. Determinism is
+// preserved by construction: each job's entire input — setup, seed, rate
+// — is captured by value before dispatch, nothing is drawn from shared
+// state while jobs execute, and results are assembled by job index.
+// Parallel output is therefore byte-identical to serial output.
 
 import (
-	"errors"
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// ProgressFunc observes sweep progress. It is called once per finished
-// job with the number of jobs completed so far in the current sweep, the
-// sweep's total job count, and the finished job's label. Calls are
-// serialized (never concurrent) — including across the overlapping
-// figures of CollectDataset, where done/total are still per-sweep counts
-// — but with multiple workers they may come from different goroutines
-// and in completion order, not job order.
-type ProgressFunc func(done, total int, label string)
-
-// jobSpec is one independent unit of a sweep: a label for progress
-// reporting and a closure producing the job's result. The closure must
-// capture everything it needs by value — in particular its seed, which is
-// derived from the job's identity before dispatch — so the result cannot
-// depend on scheduling order.
-type jobSpec[T any] struct {
-	label string
-	run   func() (T, error)
-}
-
-// workerCount resolves Options.Workers: 0 means one worker per available
-// CPU (GOMAXPROCS), anything below 1 means serial.
-func (o Options) workerCount() int {
-	if o.Workers == 0 {
+// workerCount resolves a worker setting: 0 means one worker per
+// available CPU (GOMAXPROCS), anything below 1 means serial.
+func workerCount(workers int) int {
+	if workers == 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	if o.Workers < 1 {
+	if workers < 1 {
 		return 1
 	}
-	return o.Workers
+	return workers
 }
 
-// limited returns a copy of o carrying a shared simulation limiter sized
-// to the worker count. A fan-out of fan-outs (CollectDataset's figures,
-// each running its own sweeps) passes this copy down so that nested
-// runJobs calls acquire the one limiter around each simulation — keeping
-// Options.Workers a global bound on concurrent simulations rather than a
-// per-pool one that nesting would multiply.
-func (o Options) limited() Options {
-	if o.sem == nil {
-		o.sem = make(chan struct{}, o.workerCount())
-	}
-	if o.abort == nil {
-		o.abort = new(atomic.Bool)
-	}
-	return o
-}
-
-// errAborted marks a sweep cut short because a sibling sweep sharing the
-// same Options (via limited) failed first. When possible, runJobs reports
-// the sibling's underlying error instead of this sentinel.
-var errAborted = errors.New("experiment: sweep aborted by a concurrent failure")
-
-// acquire claims a slot in the shared limiter, returning the release
-// func. Without a limiter it is a no-op: a single pool's worker count
-// already bounds the concurrency.
-func (o Options) acquire() func() {
-	if o.sem == nil {
-		return func() {}
-	}
-	o.sem <- struct{}{}
-	return func() { <-o.sem }
-}
-
-// progressTracker serializes ProgressFunc callbacks across workers.
-type progressTracker struct {
-	mu    sync.Mutex
-	fn    ProgressFunc
-	done  int
-	total int
-}
-
-func newProgressTracker(fn ProgressFunc, total int) *progressTracker {
-	return &progressTracker{fn: fn, total: total}
-}
-
-func (p *progressTracker) finish(label string) {
-	if p.fn == nil {
-		return
-	}
-	p.mu.Lock()
-	p.done++
-	p.fn(p.done, p.total, label)
-	p.mu.Unlock()
-}
-
-// runJobs executes the jobs and returns their results assembled in job
-// order, regardless of completion order. With one worker the jobs run
-// serially in the calling goroutine; with more they fan out across a
-// bounded pool. The second return value is the index of the first job
-// that failed or never ran (len(jobs) if every job succeeded); results at
-// indices before it are always valid, because jobs are dispatched in
-// index order. Failure is fail-fast: once any job errors — in this sweep,
-// or in a sibling sweep sharing an abort flag via Options.limited — jobs
-// not yet started are abandoned. The returned error is the first job's
-// own error when one exists, and errAborted when this sweep was cut short
-// purely by a sibling's failure.
-func runJobs[T any](o Options, jobs []jobSpec[T]) ([]T, int, error) {
+// runJobs executes the jobs under a non-nil ctx on at most
+// workerCount(workers) goroutines and returns their results assembled in
+// job order, regardless of completion order. Each job must capture its
+// whole input by value, its seed included, so that its result cannot
+// depend on scheduling. With one worker the jobs run serially in the
+// calling goroutine. The second return value is the index of the first
+// job that failed or never ran (len(jobs) if every job succeeded);
+// results at indices before it are always valid, because jobs are
+// dispatched in index order. Failure is fail-fast: once any job errors,
+// or ctx is cancelled, jobs not yet started are abandoned. The returned
+// error is the first failed job's own error, or ctx's error when
+// cancellation stopped dispatch before any job failed.
+func runJobs[T any](ctx context.Context, workers int, jobs []func() (T, error)) ([]T, int, error) {
 	results := make([]T, len(jobs))
 	errs := make([]error, len(jobs))
 	ran := make([]bool, len(jobs))
-	tracker := newProgressTracker(o.Progress, len(jobs))
-	failed := o.abort
-	if failed == nil {
-		failed = new(atomic.Bool)
-	}
+	var failed atomic.Bool
 	exec := func(i int) {
-		release := o.acquire()
-		results[i], errs[i] = jobs[i].run()
-		release()
+		results[i], errs[i] = jobs[i]()
 		ran[i] = true
 		if errs[i] != nil {
 			failed.Store(true)
 		}
-		tracker.finish(jobs[i].label)
 	}
 
-	// halted stops dispatch: a job failed, a sibling sweep aborted, or the
-	// runner's context (Runner.Run cancellation) expired.
 	halted := func() bool {
-		return failed.Load() || (o.ctx != nil && o.ctx.Err() != nil)
+		return failed.Load() || ctx.Err() != nil
 	}
-	workers := o.workerCount()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers = min(workerCount(workers), len(jobs))
 	if workers <= 1 {
 		for i := range jobs {
 			if halted() {
@@ -169,30 +85,16 @@ func runJobs[T any](o Options, jobs []jobSpec[T]) ([]T, int, error) {
 		wg.Wait()
 	}
 
-	firstBad := len(jobs)
 	for i := range jobs {
-		if errs[i] != nil || !ran[i] {
-			firstBad = i
-			break
+		if errs[i] != nil {
+			return results, i, errs[i]
+		}
+		if !ran[i] {
+			// Every job before a failed one was dispatched and ran, so a
+			// job that never ran with no failure before it was stopped by
+			// cancellation.
+			return results, i, ctx.Err()
 		}
 	}
-	if firstBad == len(jobs) {
-		return results, firstBad, nil
-	}
-	err := errs[firstBad]
-	if err == nil {
-		err = errAborted
-	}
-	if errors.Is(err, errAborted) {
-		// Prefer the sibling failure's real cause over the sentinel: with
-		// nested fan-outs the causing job's error surfaces in this errs
-		// slice (its figure-level job returns it) or in a sibling's.
-		for _, e := range errs {
-			if e != nil && !errors.Is(e, errAborted) {
-				err = e
-				break
-			}
-		}
-	}
-	return results, firstBad, err
+	return results, len(jobs), nil
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -8,93 +9,79 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"alpha21364/internal/core"
-	"alpha21364/internal/traffic"
 )
 
-// runnerOpts returns small-scale options with the given worker count.
-func runnerOpts(workers int) Options {
-	return Options{Quick: true, CyclesOverride: 1500, MaxRatePoints: 2, Seed: 3, Workers: workers}
+// runnerOpts returns small-scale figure options.
+func runnerOpts() Options {
+	return Options{Quick: true, CyclesOverride: 1500, MaxRatePoints: 2, Seed: 3}
 }
 
-// TestParallelSerialIdentical is the runner's core guarantee: a sweep
-// fanned across eight workers produces byte-identical results to the same
-// sweep run serially. Run with -race, this also exercises the pool for
-// data races.
+// runFigure runs one single-spec canned figure through a Runner with the
+// given worker count, zeroing the wall-clock field so Results compare.
+func runFigure(t *testing.T, name string, o Options, workers int) *Result {
+	t.Helper()
+	specs, err := FigureSpecs(name, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewRunner(WithWorkers(workers)).Run(context.Background(), specs[0])
+	if err != nil {
+		t.Fatalf("figure %s: %v", name, err)
+	}
+	res.ElapsedNS = 0
+	return res
+}
+
+// TestParallelSerialIdentical is the runner's core guarantee: a canned
+// figure fanned across eight workers produces byte-identical results to
+// the same figure run serially — a timing panel (10s) and both
+// standalone sweeps (8, 9). Run with -race, this also exercises the pool
+// for data races.
 func TestParallelSerialIdentical(t *testing.T) {
-	serial, err := Figure10Saturation(runnerOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Figure10Saturation(runnerOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("panel diverged between serial and 8-worker runs:\n%+v\n%+v", serial, parallel)
-	}
-	if s, p := serial.Table().CSV(), parallel.Table().CSV(); s != p {
-		t.Errorf("panel CSV not byte-identical:\n%s\n%s", s, p)
-	}
-
-	f8serial, err := Figure8(runnerOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f8parallel, err := Figure8(runnerOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f8serial, f8parallel) {
-		t.Errorf("Figure8Result diverged between serial and 8-worker runs:\n%+v\n%+v", f8serial, f8parallel)
-	}
-
-	f9serial, err := Figure9(runnerOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f9parallel, err := Figure9(runnerOpts(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(f9serial, f9parallel) {
-		t.Errorf("Figure9Result diverged between serial and 8-worker runs:\n%+v\n%+v", f9serial, f9parallel)
+	for _, name := range []string{"10s", "8", "9"} {
+		serial := runFigure(t, name, runnerOpts(), 1)
+		parallel := runFigure(t, name, runnerOpts(), 8)
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("figure %s diverged between serial and 8-worker runs:\n%+v\n%+v", name, serial, parallel)
+		}
+		if s, p := serial.Table().CSV(), parallel.Table().CSV(); s != p {
+			t.Errorf("figure %s CSV not byte-identical:\n%s\n%s", name, s, p)
+		}
 	}
 }
 
-// TestSweepOptsMatchesSweep pins the public Sweep entry point (default
-// worker-per-CPU fan-out) to an explicitly serial SweepOpts run.
-func TestSweepOptsMatchesSweep(t *testing.T) {
-	s := TimingSetup{
-		Width: 4, Height: 4, Kind: core.KindSPAABase, Pattern: traffic.Uniform,
-		Cycles: 2000, Seed: 5,
-	}
-	rates := []float64{0.01, 0.03, 0.05}
-	def, err := Sweep(s, rates)
+// TestRunnerDefaultWorkersMatchesSerial pins a Runner's default fan-out
+// (one worker per CPU) to an explicitly serial run of the same sweep.
+func TestRunnerDefaultWorkersMatchesSerial(t *testing.T) {
+	sp := NewSpec(
+		WithTopology(4, 4), WithArbiters("SPAA-base"), WithPatterns("random"),
+		WithRates(0.01, 0.03, 0.05), WithCycles(2000), WithSeed(5),
+	)
+	def, err := NewRunner().Run(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := SweepOpts(Options{Workers: 1}, s, rates)
+	serial, err := NewRunner(WithWorkers(1)).Run(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	def.ElapsedNS, serial.ElapsedNS = 0, 0
 	if !reflect.DeepEqual(def, serial) {
-		t.Errorf("Sweep and serial SweepOpts diverged:\n%+v\n%+v", def, serial)
+		t.Errorf("default-worker and serial runs diverged:\n%+v\n%+v", def, serial)
 	}
 }
 
 func TestWorkerCount(t *testing.T) {
-	if got := (Options{}).workerCount(); got < 1 {
+	if got := workerCount(0); got < 1 {
 		t.Errorf("default workerCount = %d, want >= 1", got)
 	}
-	if got := (Options{Workers: 1}).workerCount(); got != 1 {
+	if got := workerCount(1); got != 1 {
 		t.Errorf("Workers 1 -> %d", got)
 	}
-	if got := (Options{Workers: -3}).workerCount(); got != 1 {
+	if got := workerCount(-3); got != 1 {
 		t.Errorf("Workers -3 -> %d, want serial", got)
 	}
-	if got := (Options{Workers: 5}).workerCount(); got != 5 {
+	if got := workerCount(5); got != 5 {
 		t.Errorf("Workers 5 -> %d", got)
 	}
 }
@@ -105,19 +92,16 @@ func TestWorkerCount(t *testing.T) {
 func TestRunJobsOrderAndError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		jobs := make([]jobSpec[int], 9)
+		jobs := make([]func() (int, error), 9)
 		for i := range jobs {
-			jobs[i] = jobSpec[int]{
-				label: fmt.Sprintf("job %d", i),
-				run: func() (int, error) {
-					if i == 5 || i == 7 {
-						return 0, fmt.Errorf("job %d: %w", i, boom)
-					}
-					return i * i, nil
-				},
+			jobs[i] = func() (int, error) {
+				if i == 5 || i == 7 {
+					return 0, fmt.Errorf("job %d: %w", i, boom)
+				}
+				return i * i, nil
 			}
 		}
-		results, firstBad, err := runJobs(Options{Workers: workers}, jobs)
+		results, firstBad, err := runJobs(context.Background(), workers, jobs)
 		if firstBad != 5 {
 			t.Errorf("workers=%d: firstBad = %d, want 5", workers, firstBad)
 		}
@@ -132,127 +116,27 @@ func TestRunJobsOrderAndError(t *testing.T) {
 	}
 }
 
-// TestRunJobsProgress checks that the progress callback fires exactly once
-// per job with a monotonically increasing done count.
-func TestRunJobsProgress(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var calls int
-		var labels []string
-		o := Options{Workers: workers, Progress: func(done, total int, label string) {
-			calls++
-			if done != calls {
-				t.Errorf("workers=%d: done = %d on call %d", workers, done, calls)
-			}
-			if total != 6 {
-				t.Errorf("workers=%d: total = %d, want 6", workers, total)
-			}
-			labels = append(labels, label)
-		}}
-		jobs := make([]jobSpec[int], 6)
-		for i := range jobs {
-			jobs[i] = jobSpec[int]{label: fmt.Sprintf("j%d", i), run: func() (int, error) { return i, nil }}
-		}
-		if _, _, err := runJobs(o, jobs); err != nil {
-			t.Fatal(err)
-		}
-		if calls != 6 {
-			t.Errorf("workers=%d: %d progress calls, want 6", workers, calls)
-		}
-		seen := map[string]bool{}
-		for _, l := range labels {
-			if seen[l] {
-				t.Errorf("workers=%d: label %q reported twice", workers, l)
-			}
-			seen[l] = true
-		}
-	}
-}
-
-// TestRunPanelErrorPreservesCompleteSeries checks the partial-result
-// contract on failure: algorithms that finished before the failing one
-// keep their series, the failing algorithm is named in the error.
-func TestRunPanelErrorPreservesCompleteSeries(t *testing.T) {
-	base := TimingSetup{
-		Width: 4, Height: 4, Pattern: traffic.Uniform, Cycles: 500, Seed: 1,
-	}
-	// KindMCM is rejected by the timing model, so the second sweep fails.
-	kinds := []core.Kind{core.KindSPAABase, core.KindMCM, core.KindWFABase}
-	p, err := runPanel("error panel", Options{Workers: 4}, base, kinds, []float64{0.01, 0.02})
-	if err == nil {
-		t.Fatal("runPanel accepted a standalone-only algorithm")
-	}
-	if len(p.Series) != 1 || p.Series[0].Label != "SPAA-base" {
-		t.Errorf("partial panel = %+v", p.Series)
-	}
-	if got := err.Error(); !strings.Contains(got, "error panel") || !strings.Contains(got, "MCM") {
-		t.Errorf("error %q does not name the panel and failing algorithm", got)
-	}
-}
-
-// TestNestedFanOutHonorsWorkerBound mimics CollectDataset's shape — an
-// unlimited top-level fan-out whose jobs each run their own leaf sweeps —
-// and asserts the shared limiter keeps the number of concurrently
-// executing leaf jobs within Options.Workers.
-func TestNestedFanOutHonorsWorkerBound(t *testing.T) {
-	o := Options{Workers: 2}.limited()
-	var cur, peak atomic.Int32
-	leafJobs := func() []jobSpec[int] {
-		jobs := make([]jobSpec[int], 8)
-		for i := range jobs {
-			jobs[i] = jobSpec[int]{label: "leaf", run: func() (int, error) {
-				c := cur.Add(1)
-				for {
-					p := peak.Load()
-					if c <= p || peak.CompareAndSwap(p, c) {
-						break
-					}
-				}
-				time.Sleep(2 * time.Millisecond)
-				cur.Add(-1)
-				return 0, nil
-			}}
-		}
-		return jobs
-	}
-	top := o
-	top.sem = nil
-	top.Workers = 4
-	topJobs := make([]jobSpec[struct{}], 4)
-	for i := range topJobs {
-		topJobs[i] = jobSpec[struct{}]{label: "figure", run: func() (struct{}, error) {
-			_, _, err := runJobs(o, leafJobs())
-			return struct{}{}, err
-		}}
-	}
-	if _, _, err := runJobs(top, topJobs); err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > 2 {
-		t.Errorf("peak concurrent leaf jobs = %d, want <= 2", p)
-	}
-}
-
 // TestRunJobsFailFast checks that jobs after an observed failure are
 // never started.
 func TestRunJobsFailFast(t *testing.T) {
 	var executed atomic.Int32
-	makeJobs := func(n, failAt int) []jobSpec[int] {
-		jobs := make([]jobSpec[int], n)
+	makeJobs := func(n, failAt int) []func() (int, error) {
+		jobs := make([]func() (int, error), n)
 		for i := range jobs {
-			jobs[i] = jobSpec[int]{label: "j", run: func() (int, error) {
+			jobs[i] = func() (int, error) {
 				executed.Add(1)
 				if i == failAt {
 					return 0, errors.New("fail")
 				}
 				time.Sleep(time.Millisecond)
 				return i, nil
-			}}
+			}
 		}
 		return jobs
 	}
 
 	executed.Store(0)
-	if _, firstBad, err := runJobs(Options{Workers: 1}, makeJobs(10, 2)); err == nil || firstBad != 2 {
+	if _, firstBad, err := runJobs(context.Background(), 1, makeJobs(10, 2)); err == nil || firstBad != 2 {
 		t.Fatalf("serial: firstBad = %d, err = %v", firstBad, err)
 	}
 	if got := executed.Load(); got != 3 {
@@ -260,7 +144,7 @@ func TestRunJobsFailFast(t *testing.T) {
 	}
 
 	executed.Store(0)
-	if _, firstBad, err := runJobs(Options{Workers: 4}, makeJobs(50, 0)); err == nil || firstBad != 0 {
+	if _, firstBad, err := runJobs(context.Background(), 4, makeJobs(50, 0)); err == nil || firstBad != 0 {
 		t.Fatalf("parallel: firstBad = %d, err = %v", firstBad, err)
 	}
 	// The dispatcher stops handing out work once the failure is observed.
@@ -271,55 +155,167 @@ func TestRunJobsFailFast(t *testing.T) {
 	}
 }
 
-// TestSharedAbortStopsSiblingSweeps covers the CollectDataset fail-fast
-// path: once any sweep sharing a limited Options fails, sibling sweeps
-// refuse to start new jobs and report errAborted.
-func TestSharedAbortStopsSiblingSweeps(t *testing.T) {
-	o := Options{Workers: 2}.limited()
-	if _, _, err := runJobs(o, []jobSpec[int]{
-		{label: "bad", run: func() (int, error) { return 0, errors.New("root cause") }},
-	}); err == nil {
-		t.Fatal("failing sweep reported no error")
+// TestRunPanelErrorPreservesCompleteSeries checks the partial-result
+// contract of a failing panel: the algorithm that finished before the
+// failing one keeps its whole series, the failing algorithm's error is
+// the run's error, and the Result keeps the panel's full shape.
+func TestRunPanelErrorPreservesCompleteSeries(t *testing.T) {
+	// MCM is rejected by the timing model, so the second series fails.
+	sp := NewSpec(
+		WithName("error panel"), WithTopology(4, 4),
+		WithArbiters("SPAA-base", "MCM", "WFA-base"), WithPatterns("random"),
+		WithRates(0.01, 0.02), WithCycles(500), WithSeed(1),
+	)
+	res, err := NewRunner(WithWorkers(4)).Run(context.Background(), sp)
+	if err == nil {
+		t.Fatal("the runner accepted a standalone-only algorithm in a timing panel")
 	}
-	var executed atomic.Int32
-	jobs := make([]jobSpec[int], 5)
-	for i := range jobs {
-		jobs[i] = jobSpec[int]{label: "sibling", run: func() (int, error) { executed.Add(1); return i, nil }}
+	if !strings.Contains(err.Error(), "MCM") {
+		t.Errorf("error %q does not name the failing algorithm", err)
 	}
-	_, firstBad, err := runJobs(o, jobs)
-	if got := executed.Load(); got != 0 {
-		t.Errorf("sibling sweep started %d jobs after the shared abort", got)
+	if !res.Partial || len(res.Series) != 3 {
+		t.Fatalf("partial result: Partial=%v with %d series, want a partial 3-series panel", res.Partial, len(res.Series))
 	}
-	if firstBad != 0 || !errors.Is(err, errAborted) {
-		t.Errorf("sibling sweep: firstBad = %d, err = %v", firstBad, err)
+	if got := len(res.Series[0].Points); got != 2 || res.Series[0].Label != "SPAA-base" {
+		t.Errorf("complete series %q kept %d of 2 points", res.Series[0].Label, got)
+	}
+	for _, s := range res.Series[1:] {
+		if len(s.Points) != 0 {
+			t.Errorf("series %q past the failure kept %d points", s.Label, len(s.Points))
+		}
 	}
 }
 
-// TestAbortedSweepPrefersRealCause checks the error CollectDataset
-// surfaces: when one job's failure aborts its siblings, runJobs reports
-// the underlying failure, not the errAborted sentinel of whichever
-// aborted job happens to have the lowest index.
+// stubDataset expands the claims dataset's plans with every job replaced
+// by run, which receives the job's global index in dispatch order. It
+// returns the plans and the total job count.
+func stubDataset(t *testing.T, run func(i int) error) ([]*plan, int) {
+	t.Helper()
+	_, plans, err := datasetPlans(runnerOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, pl := range plans {
+		for j := range pl.jobs {
+			i := n
+			pl.jobs[j].run = func(context.Context) (ResultPoint, error) {
+				return ResultPoint{Axis: float64(i)}, run(i)
+			}
+			n++
+		}
+	}
+	return plans, n
+}
+
+// TestCollectDatasetHonorsWorkerBound: the claims dataset is one flat
+// pool over every figure's jobs, so the worker count bounds concurrent
+// simulations across all figures, the pool really runs that many at
+// once, and one event stream counts every job of the dataset.
+func TestCollectDatasetHonorsWorkerBound(t *testing.T) {
+	var cur, peak atomic.Int32
+	plans, total := stubDataset(t, func(int) error {
+		c := cur.Add(1)
+		for {
+			p := peak.Load()
+			if c <= p || peak.CompareAndSwap(p, c) {
+				break
+			}
+		}
+		time.Sleep(200 * time.Microsecond)
+		cur.Add(-1)
+		return nil
+	})
+	var lastDone, events int
+	r := NewRunner(WithWorkers(2), WithEventSink(func(e Event) {
+		events++
+		if e.Type == EventPointDone {
+			lastDone = e.Done
+		}
+		if e.Total != total {
+			t.Errorf("%s event total = %d, want %d", e.Type, e.Total, total)
+		}
+	}))
+	results, err := r.runPlans(context.Background(), "dataset", plans, r.emitter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p != 2 {
+		t.Errorf("peak concurrent jobs = %d, want exactly the 2-worker bound", p)
+	}
+	if lastDone != total || events == 0 {
+		t.Errorf("event stream counted %d of %d jobs", lastDone, total)
+	}
+	for i, res := range results {
+		if res.Partial {
+			t.Errorf("plan %d (%s) is partial after a clean run", i, res.Spec.Name)
+		}
+	}
+}
+
+// TestSharedAbortStopsSiblingSweeps: a job failing in one figure stops
+// dispatch across every figure of the dataset — serially, no later job
+// of any figure starts — and the failing job's own error is returned.
+func TestSharedAbortStopsSiblingSweeps(t *testing.T) {
+	rootCause := errors.New("root cause")
+	for _, workers := range []int{1, 4} {
+		var executed atomic.Int32
+		failAt := -1
+		plans, total := stubDataset(t, func(i int) error {
+			executed.Add(1)
+			if i == failAt {
+				return rootCause
+			}
+			return nil
+		})
+		// Fail the first job of the third plan (Figure 10's first panel).
+		failAt = len(plans[0].jobs) + len(plans[1].jobs)
+		results, err := NewRunner(WithWorkers(workers)).runPlans(context.Background(), "dataset", plans, func(Event) {})
+		if err != rootCause {
+			t.Errorf("workers=%d: err = %v, want the failing job's own error", workers, err)
+		}
+		got := int(executed.Load())
+		if workers == 1 && got != failAt+1 {
+			t.Errorf("serial: %d jobs ran, want %d (none after the failure)", got, failAt+1)
+		}
+		if got >= total {
+			t.Errorf("workers=%d: all %d jobs ran despite the failure", workers, total)
+		}
+		for i, res := range results {
+			if complete := i < 2; res.Partial == complete {
+				t.Errorf("workers=%d: plan %d (%s) Partial = %v", workers, i, res.Spec.Name, res.Partial)
+			}
+		}
+	}
+}
+
+// TestAbortedSweepPrefersRealCause: when a job fails while an earlier job
+// of another figure is still in flight, that earlier job still completes
+// and the run reports the failing job's own error — nothing masks it.
 func TestAbortedSweepPrefersRealCause(t *testing.T) {
 	rootCause := errors.New("root cause")
 	gate := make(chan struct{})
-	jobs := []jobSpec[int]{
-		// Mimics a figure job whose nested sweep was aborted by the
-		// sibling below; it blocks until the sibling has failed.
-		{label: "aborted figure", run: func() (int, error) {
+	var last9 int
+	plans, _ := stubDataset(t, func(i int) error {
+		switch i {
+		case last9: // Figure 9's last job: in flight across the failure.
 			<-gate
-			return 0, fmt.Errorf("panel: %w", errAborted)
-		}},
-		{label: "failing figure", run: func() (int, error) {
+		case last9 + 1: // Figure 10's first job fails.
 			defer close(gate)
-			return 0, rootCause
-		}},
-	}
-	_, firstBad, err := runJobs(Options{Workers: 2}, jobs)
-	if firstBad != 0 {
-		t.Errorf("firstBad = %d, want 0", firstBad)
-	}
-	if !errors.Is(err, rootCause) {
+			return rootCause
+		}
+		return nil
+	})
+	last9 = len(plans[0].jobs) + len(plans[1].jobs) - 1
+	results, err := NewRunner(WithWorkers(2)).runPlans(context.Background(), "dataset", plans, func(Event) {})
+	if err != rootCause {
 		t.Errorf("err = %v, want the root cause", err)
+	}
+	if results[1].Partial || len(results[1].Series[0].Points) == 0 {
+		t.Errorf("figure 9 lost its in-flight job: Partial=%v", results[1].Partial)
+	}
+	if !results[2].Partial {
+		t.Error("figure 10's failing panel is not marked partial")
 	}
 }
 
@@ -330,13 +326,11 @@ func TestCollectDatasetParallelMatchesSerial(t *testing.T) {
 		t.Skip("dataset collection is expensive")
 	}
 	o := Options{Quick: true, CyclesOverride: 1000, MaxRatePoints: 2, Seed: 2}
-	o.Workers = 1
-	serial, err := CollectDataset(o)
+	serial, err := CollectDataset(o, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Workers = 8
-	parallel, err := CollectDataset(o)
+	parallel, err := CollectDataset(o, WithWorkers(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,39 +1,19 @@
 package experiment
 
-// scenario.go is the scenario-matrix runner: the cross product of
-// algorithms × destination patterns × arrival processes × injection
-// rates, fanned through the same parallel job pool as the figure sweeps.
-// Every job's setup is fixed before dispatch, so — like the figures — a
-// parallel matrix is byte-identical to a serial one.
+// scenario.go lifts typed scenario-matrix axes — algorithms × destination
+// patterns × arrival processes × injection rates — into a declarative
+// Spec; the cross product is ordinary Spec expansion, so a Runner fans it
+// through the same job pool as the figure sweeps.
 
 import (
-	"context"
-	"fmt"
-
 	"alpha21364/internal/core"
 	"alpha21364/internal/traffic"
 )
 
-// Scenario names one cell of a scenario matrix.
-type Scenario struct {
-	Kind    core.Kind
-	Pattern traffic.Pattern
-	Process string
-	Rate    float64
-}
-
-func (s Scenario) String() string {
-	return fmt.Sprintf("%v/%v/%s @ %g", s.Kind, s.Pattern, s.Process, s.Rate)
-}
-
-// ScenarioResult pairs a scenario with its timing result.
-type ScenarioResult struct {
-	Scenario
-	TimingResult
-}
-
-// MatrixSpec lifts the typed matrix axes into a declarative Spec — the
-// cross product becomes Spec expansion, executed by a Runner.
+// MatrixSpec lifts the typed matrix axes into a declarative Spec. The
+// base setup supplies torus size, cycle count, seed, warmup, the
+// outstanding cap, and the transaction model; its Kind, Pattern, and
+// Rate are replaced by the axes.
 func MatrixSpec(base TimingSetup, kinds []core.Kind,
 	patterns []traffic.Pattern, processes []string, rates []float64) Spec {
 	sp := specFromSetup("matrix", base, kinds, rates)
@@ -46,74 +26,34 @@ func MatrixSpec(base TimingSetup, kinds []core.Kind,
 	return sp
 }
 
-// ScenarioMatrix runs every combination of the given algorithms,
-// destination patterns, arrival processes, and injection rates on the
-// base setup (which supplies torus size, cycle count, seed, and the
-// outstanding cap). Results are returned in matrix order — kinds
-// outermost, then patterns, processes, and rates — regardless of worker
-// scheduling. On failure the returned slice holds the results of every
-// scenario before the first failed one.
-//
-// Deprecated: build the matrix as a Spec (MatrixSpec or NewSpec with
-// multi-valued WithPatterns/WithProcesses) and execute it with a Runner;
-// this adapter remains for compatibility.
-func ScenarioMatrix(o Options, base TimingSetup, kinds []core.Kind,
-	patterns []traffic.Pattern, processes []string, rates []float64) ([]ScenarioResult, error) {
-	if len(processes) == 0 {
-		processes = []string{"bernoulli"}
-	}
-	if len(kinds) == 0 || len(patterns) == 0 || len(rates) == 0 {
-		return nil, nil
-	}
-	res, err := optionsRunner(o).Run(context.Background(),
-		MatrixSpec(base, kinds, patterns, processes, rates))
-	if res == nil {
-		return nil, err
-	}
-	// Series arrive in matrix order (kinds, then patterns, then
-	// processes) with rates as points; flattening them reproduces the old
-	// scenario order, and the contiguous-prefix partial contract means a
-	// failed run truncates exactly at the first bad scenario.
-	var results []ScenarioResult
-	for si, s := range res.Series {
-		ki := si / (len(patterns) * len(processes))
-		pi := si / len(processes) % len(patterns)
-		pri := si % len(processes)
-		for ri, pt := range s.Points {
-			results = append(results, ScenarioResult{
-				Scenario: Scenario{
-					Kind:    kinds[ki],
-					Pattern: patterns[pi],
-					Process: processes[pri],
-					Rate:    rates[ri],
-				},
-				TimingResult: pt.TimingResult(),
-			})
-		}
-	}
-	return results, err
-}
-
-// ScenarioTable formats matrix results as one row per scenario.
-func ScenarioTable(results []ScenarioResult) Table {
-	tb := Table{
-		Title: "Scenario matrix",
-		Columns: []string{
-			"algorithm", "pattern", "process", "rate",
-			"tput(flits/router/ns)", "latency(ns)", "p99(ns)", "packets",
+// specFromSetup lifts a TimingSetup into a Spec covering the given
+// algorithms and rate sweep.
+func specFromSetup(name string, s TimingSetup, kinds []core.Kind, rates []float64) Spec {
+	sp := Spec{
+		Version:  SpecVersion,
+		Name:     name,
+		Arbiters: kindNames(kinds),
+		Check:    s.Check,
+		Topology: &TopologySpec{Width: s.Width, Height: s.Height},
+		Workload: &WorkloadSpec{MaxOutstanding: s.MaxOutstanding},
+		Timing: &TimingSpec{
+			Cycles:         s.Cycles,
+			WarmupFraction: s.WarmupFraction,
+			Seed:           s.Seed,
+			ScalePipeline:  s.ScalePipeline,
+			EpochCycles:    s.EpochCycles,
 		},
 	}
-	for _, r := range results {
-		tb.Rows = append(tb.Rows, []string{
-			r.Kind.String(),
-			r.Pattern.String(),
-			r.Process,
-			fmt.Sprintf("%g", r.Rate),
-			fmt.Sprintf("%.4f", r.Throughput),
-			fmt.Sprintf("%.1f", r.AvgLatencyNS),
-			fmt.Sprintf("%.1f", r.LatencyP99NS),
-			fmt.Sprintf("%d", r.Packets),
-		})
+	if s.ReplayFrom != "" {
+		sp.Workload.ReplayFrom = s.ReplayFrom
+		return sp
 	}
-	return tb
+	sp.Workload.Patterns = []string{s.Pattern.String()}
+	if s.Process != "" {
+		sp.Workload.Processes = []string{s.Process}
+	}
+	sp.Workload.Model = s.Model
+	sp.Workload.Rates = append([]float64(nil), rates...)
+	sp.Workload.RecordTo = s.RecordTo
+	return sp
 }

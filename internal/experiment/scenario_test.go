@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,10 +12,11 @@ import (
 	"alpha21364/internal/workload"
 )
 
-// TestScenarioMatrixParallelSerialIdentical runs the acceptance-criteria
+// TestMatrixSpecParallelSerialIdentical runs the acceptance-criteria
 // matrix — six destination patterns × two arrival processes — for one
-// algorithm, in parallel and serially, and requires identical output.
-func TestScenarioMatrixParallelSerialIdentical(t *testing.T) {
+// algorithm through MatrixSpec and a Runner, in parallel and serially,
+// and requires identical output.
+func TestMatrixSpecParallelSerialIdentical(t *testing.T) {
 	base := TimingSetup{Width: 4, Height: 4, Cycles: 600, Seed: 3}
 	kinds := []core.Kind{core.KindSPAARotary}
 	patterns := []traffic.Pattern{
@@ -23,52 +25,61 @@ func TestScenarioMatrixParallelSerialIdentical(t *testing.T) {
 	}
 	processes := []string{"bernoulli", "onoff"}
 	rates := []float64{0.02}
+	sp := MatrixSpec(base, kinds, patterns, processes, rates)
 
-	serial, err := ScenarioMatrix(Options{Workers: 1}, base, kinds, patterns, processes, rates)
+	serial, err := NewRunner(WithWorkers(1)).Run(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ScenarioMatrix(Options{Workers: 8}, base, kinds, patterns, processes, rates)
+	parallel, err := NewRunner(WithWorkers(8)).Run(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial) != len(kinds)*len(patterns)*len(processes)*len(rates) {
-		t.Fatalf("matrix returned %d scenarios", len(serial))
+	serial.ElapsedNS, parallel.ElapsedNS = 0, 0
+	if got := len(serial.ScenarioTable().Rows); got != len(kinds)*len(patterns)*len(processes)*len(rates) {
+		t.Fatalf("matrix returned %d scenarios", got)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("parallel matrix differs from serial matrix")
 	}
-	if got, want := ScenarioTable(serial).CSV(), ScenarioTable(parallel).CSV(); got != want {
+	if got, want := serial.ScenarioTable().CSV(), parallel.ScenarioTable().CSV(); got != want {
 		t.Fatal("parallel matrix CSV differs from serial")
 	}
-	for _, r := range serial {
-		if r.Packets == 0 {
-			t.Errorf("%v delivered nothing", r.Scenario)
+	for _, s := range serial.Series {
+		if s.Points[0].Packets == 0 {
+			t.Errorf("%s delivered nothing", s.Label)
 		}
 	}
 }
 
-// TestScenarioMatrixOrder: results come back in matrix order regardless
-// of completion order.
-func TestScenarioMatrixOrder(t *testing.T) {
+// TestMatrixSpecOrder: MatrixSpec results come back in matrix order
+// — kinds outermost, then patterns and processes (bernoulli by default)
+// as series, rates as points — regardless of completion order.
+func TestMatrixSpecOrder(t *testing.T) {
 	base := TimingSetup{Width: 4, Height: 4, Cycles: 300, Seed: 1}
 	kinds := []core.Kind{core.KindSPAABase, core.KindPIM1}
 	patterns := []traffic.Pattern{traffic.Uniform, traffic.Tornado}
 	rates := []float64{0.01, 0.02}
-	res, err := ScenarioMatrix(Options{}, base, kinds, patterns, nil, rates)
+	res, err := NewRunner().Run(context.Background(), MatrixSpec(base, kinds, patterns, nil, rates))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(res.Series) != len(kinds)*len(patterns) {
+		t.Fatalf("matrix has %d series, want %d", len(res.Series), len(kinds)*len(patterns))
 	}
 	i := 0
 	for _, k := range kinds {
 		for _, p := range patterns {
-			for _, r := range rates {
-				sc := res[i].Scenario
-				if sc.Kind != k || sc.Pattern != p || sc.Process != "bernoulli" || sc.Rate != r {
-					t.Fatalf("result %d is %v, want %v/%v/bernoulli @ %g", i, sc, k, p, r)
-				}
-				i++
+			s := res.Series[i]
+			if s.Arbiter != k.String() || s.Pattern != p.String() || s.Process != "bernoulli" {
+				t.Fatalf("series %d is %s/%s/%s, want %v/%v/bernoulli", i, s.Arbiter, s.Pattern, s.Process, k, p)
 			}
+			for j, r := range rates {
+				if s.Points[j].Rate != r {
+					t.Fatalf("series %d point %d has rate %g, want %g", i, j, s.Points[j].Rate, r)
+				}
+			}
+			i++
 		}
 	}
 }

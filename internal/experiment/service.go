@@ -4,9 +4,9 @@ package experiment
 // turns a Spec into a Result under a context, fanning the expanded job
 // grid across a bounded worker pool and streaming typed events —
 // run-start, point-done, series-done, run-done — as simulations finish.
-// It replaces the private runJobs/ProgressFunc plumbing as the public
-// way to execute experiments; the deprecated Sweep/figure entry points
-// are now thin adapters over it.
+// It is the one way to execute experiments: the canned figures, the
+// claims dataset (CollectDataset), cmd/sweep, and sweepd all run their
+// Specs through it.
 //
 // Determinism: jobs are fully fixed at expansion time and assembled by
 // index, so a Result is byte-identical whatever the worker count (only
@@ -48,7 +48,8 @@ type Event struct {
 	Series string `json:"series,omitempty"`
 	// Point carries the measurement of a point-done event.
 	Point *ResultPoint `json:"point,omitempty"`
-	// Result carries the assembled result of a run-done event.
+	// Result carries the assembled result of a run-done event (nil when
+	// one run covered several specs, as CollectDataset's does).
 	Result *Result `json:"result,omitempty"`
 	// Err is the run's failure, if any (run-done only).
 	Err error `json:"-"`
@@ -58,8 +59,8 @@ type Event struct {
 // NewRunner. A Runner is stateless between runs and safe for concurrent
 // use by multiple goroutines.
 type Runner struct {
-	opts Options
-	sink func(Event)
+	workers int
+	sink    func(Event)
 }
 
 // RunnerOption configures a Runner.
@@ -78,7 +79,7 @@ func NewRunner(opts ...RunnerOption) *Runner {
 // per available CPU, 1 (or any negative value) runs serially. Results
 // are byte-identical regardless of the worker count.
 func WithWorkers(n int) RunnerOption {
-	return func(r *Runner) { r.opts.Workers = n }
+	return func(r *Runner) { r.workers = n }
 }
 
 // WithEventSink observes every event of every Run on this Runner. Calls
@@ -88,32 +89,21 @@ func WithEventSink(fn func(Event)) RunnerOption {
 	return func(r *Runner) { r.sink = fn }
 }
 
-// optionsRunner adapts the deprecated Options plumbing (worker count,
-// ProgressFunc, and CollectDataset's shared limiter) onto a Runner.
-func optionsRunner(o Options) *Runner {
-	r := &Runner{opts: o}
-	if o.Progress != nil {
-		progress := o.Progress
-		r.sink = func(e Event) {
-			if e.Type == EventPointDone {
-				progress(e.Done, e.Total, e.Label)
-			}
-		}
-	}
-	return r
-}
-
 // Run executes the spec to completion (or cancellation) and returns the
 // assembled Result. On failure or cancellation the Result is non-nil,
 // marked Partial, and holds every point that finished before the
 // contiguous-prefix cut; the error is the first job's own error, or the
 // context's error when the run was cancelled.
 func (r *Runner) Run(ctx context.Context, spec Spec) (*Result, error) {
-	emit := r.sink
-	if emit == nil {
-		emit = func(Event) {}
+	return r.run(ctx, spec, r.emitter())
+}
+
+// emitter returns the Runner's event sink, or a no-op when it has none.
+func (r *Runner) emitter() func(Event) {
+	if r.sink == nil {
+		return func(Event) {}
 	}
-	return r.run(ctx, spec, emit)
+	return r.sink
 }
 
 // Stream executes the spec concurrently and returns its event channel.
@@ -158,33 +148,44 @@ func (r *Runner) Stream(ctx context.Context, spec Spec) <-chan Event {
 }
 
 func (r *Runner) run(ctx context.Context, spec Spec, emit func(Event)) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	pl, err := spec.expand()
 	if err != nil {
 		return nil, err
 	}
+	results, err := r.runPlans(ctx, spec.title(), []*plan{pl}, emit)
+	return results[0], err
+}
+
+// runPlans executes expanded specs as one run: all their jobs share a
+// single pool, so the worker bound and fail-fast span every plan, and
+// one event stream covers them (Done/Total count jobs across all plans).
+// The run-done event carries the Result only when there is one plan.
+// Each returned Result keeps the contiguous prefix of its own jobs that
+// completed before the run's first failure.
+func (r *Runner) runPlans(ctx context.Context, title string, plans []*plan, emit func(Event)) ([]*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	start := time.Now()
-	total := len(pl.jobs)
-	emit(Event{Type: EventRunStart, Total: total, Label: spec.title()})
+	total := 0
+	for _, pl := range plans {
+		total += len(pl.jobs)
+	}
+	emit(Event{Type: EventRunStart, Total: total, Label: title})
 
 	// One mutex serializes event emission and the done/remaining counters
-	// across workers (the same guarantee progressTracker used to give the
-	// deprecated ProgressFunc).
+	// across workers.
 	var mu sync.Mutex
 	done := 0
-	remaining := make([]int, len(pl.series))
-	for i, s := range pl.series {
-		remaining[i] = s.jobs
-	}
-
-	jobs := make([]jobSpec[ResultPoint], total)
-	for i, pj := range pl.jobs {
-		pj := pj
-		jobs[i] = jobSpec[ResultPoint]{
-			label: pj.label,
-			run: func() (ResultPoint, error) {
+	jobs := make([]func() (ResultPoint, error), 0, total)
+	for _, pl := range plans {
+		remaining := make([]int, len(pl.series))
+		for i, s := range pl.series {
+			remaining[i] = s.jobs
+		}
+		for _, pj := range pl.jobs {
+			series := pl.series[pj.series].meta.Label
+			jobs = append(jobs, func() (ResultPoint, error) {
 				pt, err := pj.run(ctx)
 				if err != nil {
 					return pt, err
@@ -193,35 +194,40 @@ func (r *Runner) run(ctx context.Context, spec Spec, emit func(Event)) (*Result,
 				done++
 				emit(Event{
 					Type: EventPointDone, Done: done, Total: total,
-					Label: pj.label, Series: pl.series[pj.series].meta.Label, Point: &pt,
+					Label: pj.label, Series: series, Point: &pt,
 				})
 				remaining[pj.series]--
 				if remaining[pj.series] == 0 {
-					emit(Event{
-						Type: EventSeriesDone, Done: done, Total: total,
-						Series: pl.series[pj.series].meta.Label,
-					})
+					emit(Event{Type: EventSeriesDone, Done: done, Total: total, Series: series})
 				}
 				mu.Unlock()
 				return pt, nil
-			},
+			})
 		}
 	}
 
-	o := r.opts
-	o.ctx = ctx
-	o.Progress = nil // progress flows through events on this path
-	points, firstBad, err := runJobs(o, jobs)
+	points, firstBad, err := runJobs(ctx, r.workers, jobs)
 	if cerr := ctx.Err(); cerr != nil {
 		// The context's own error outranks the per-job symptom it caused.
 		err = cerr
 	}
-	res := pl.assemble(points, firstBad)
-	res.ElapsedNS = time.Since(start).Nanoseconds()
+	elapsed := time.Since(start).Nanoseconds()
+	results := make([]*Result, len(plans))
+	off := 0
+	for i, pl := range plans {
+		n := len(pl.jobs)
+		results[i] = pl.assemble(points[off:off+n], min(max(firstBad-off, 0), n))
+		results[i].ElapsedNS = elapsed
+		off += n
+	}
+	var single *Result
+	if len(results) == 1 {
+		single = results[0]
+	}
 	mu.Lock()
-	emit(Event{Type: EventRunDone, Done: done, Total: total, Result: res, Err: err})
+	emit(Event{Type: EventRunDone, Done: done, Total: total, Result: single, Err: err})
 	mu.Unlock()
-	return res, err
+	return results, err
 }
 
 // assemble builds the Result from the job-ordered points, keeping the

@@ -18,15 +18,10 @@ func quickOpts() Options {
 
 // TestSpecReproducesFigure10s is the acceptance check of the Spec path:
 // the canned Spec, serialized exactly as `cmd/sweep -emit-spec` writes
-// it, re-loaded exactly as `-spec` loads it, and run through the new
-// Runner, reproduces the old figure-function output byte for byte.
+// it, re-loaded exactly as `-spec` loads it, and run through the
+// Runner, reproduces the directly-run canned figure byte for byte.
 func TestSpecReproducesFigure10s(t *testing.T) {
 	o := quickOpts()
-	old, err := Figure10Saturation(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	specs, err := FigureSpecs("10s", o)
 	if err != nil {
 		t.Fatal(err)
@@ -46,8 +41,12 @@ func TestSpecReproducesFigure10s(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := res.Panel().Table().CSV(), old.Table().CSV(); got != want {
-		t.Errorf("spec-run output differs from the figure function:\n--- spec ---\n%s\n--- figure ---\n%s", got, want)
+	old, err := NewRunner(WithWorkers(1)).Run(context.Background(), specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Panel().Table().CSV(), old.Panel().Table().CSV(); got != want {
+		t.Errorf("spec-run output differs from the canned figure:\n--- spec ---\n%s\n--- figure ---\n%s", got, want)
 	}
 }
 
@@ -55,10 +54,6 @@ func TestSpecReproducesFigure10s(t *testing.T) {
 // acceptance check.
 func TestSpecReproducesFigure8(t *testing.T) {
 	o := Options{Quick: true, Seed: 1}
-	old, err := Figure8(o)
-	if err != nil {
-		t.Fatal(err)
-	}
 	specs, err := FigureSpecs("8", o)
 	if err != nil {
 		t.Fatal(err)
@@ -75,13 +70,22 @@ func TestSpecReproducesFigure8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	direct, err := NewRunner(WithWorkers(1)).Run(context.Background(), specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := Figure8Result{
 		LoadFractions:  reloaded[0].Standalone.Values,
 		SaturationLoad: res.SaturationLoad,
 		Curves:         res.Curves(),
 	}
-	if got.Table().CSV() != old.Table().CSV() {
-		t.Errorf("spec-run figure 8 differs from the figure function")
+	want := Figure8Result{
+		LoadFractions:  specs[0].Standalone.Values,
+		SaturationLoad: direct.SaturationLoad,
+		Curves:         direct.Curves(),
+	}
+	if got.Table().CSV() != want.Table().CSV() {
+		t.Errorf("spec-run figure 8 differs from the canned figure")
 	}
 }
 

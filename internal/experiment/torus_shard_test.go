@@ -140,9 +140,9 @@ func TestTorusShardedSpecHashDiffers(t *testing.T) {
 // it skips on small machines and in short mode; coverage instrumentation
 // (atomic counters on every hot-path statement) serializes the workers
 // enough to invert the result, so instrumented runs skip too. The
-// committed BENCH_10.json baseline carries the per-machine numbers for
-// the benchmark gate; this test is a smoke check that parallelism exists
-// at all where it can.
+// perfbench torus-sharded workload measures the sharded cost per
+// machine; this test is a smoke check that parallelism exists at all
+// where it can.
 func TestTorusShardedSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("speedup measurement skipped in short mode")
