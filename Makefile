@@ -19,11 +19,11 @@ race:
 
 # race-pools points the race detector at the pooled/arena hot paths
 # specifically: the tick-wheel scheduler, the packet arena, the router
-# slab/rings, and the workload injection queues — plus the oracle and
-# telemetry hook paths (invariant checker, obs counters/flight rings,
-# replicated/checked/instrumented Runner fan-outs, the claims dataset's
-# single flat pool over every figure's jobs, and the daemon's
-# shared metrics under concurrent scrapes), the fleet dispatch paths
+# slab and its packed queue records, and the workload injection queues —
+# plus the oracle and telemetry hook paths (invariant checker, obs
+# counters/flight rings, replicated/checked/instrumented Runner fan-outs,
+# the claims dataset's single flat pool over every figure's jobs, and the
+# daemon's shared metrics under concurrent scrapes), the fleet dispatch paths
 # (heartbeats racing the dispatcher's liveness flips, the daemon's shard
 # semaphore and drain flag under concurrent requests), and the bitplane
 # arbitration kernels (the parallel differential suite drives every
@@ -36,8 +36,8 @@ race:
 # checker's per-router scratch under concurrent edge ticks).
 race-pools:
 	$(GO) test -race -count=1 \
-		-run 'Wheel|Arena|Ring|Alloc|Slab|Engine|Generator|Shard' \
-		./internal/sim ./internal/packet ./internal/vc ./internal/router ./internal/workload
+		-run 'Wheel|Arena|Queue|Alloc|Slab|Engine|Generator|Shard' \
+		./internal/sim ./internal/packet ./internal/router ./internal/workload
 	$(GO) test -race -count=1 -run 'Differential|Matrix|Bitplane' ./internal/core
 	$(GO) test -race -count=1 ./internal/check ./internal/obs ./internal/topology
 	$(GO) test -race -count=1 -run 'Replicated|CheckedRunMatches|Metrics|TorusSharded|CollectDatasetHonors|SharedAbort|AbortedSweep' ./internal/experiment

@@ -59,3 +59,22 @@ func TestRouterTickAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterNewAllocs pins construction to a handful of allocations per
+// router — the Router itself, its queue store, route table, RNG and
+// arbitration core — so per-queue buffers or per-port credit pools cannot
+// come back: a 16x16 torus builds 256 routers.
+func TestRouterNewAllocs(t *testing.T) {
+	torus := topology.NewTorus(4, 4)
+	for _, kind := range []core.Kind{core.KindSPAABase, core.KindSPAARotary, core.KindPIM1, core.KindWFABase, core.KindWFARotary} {
+		cfg := DefaultConfig(kind)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := New(cfg, 5, torus); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 16 {
+			t.Errorf("%v: New allocates %.0f times, want at most 16", kind, allocs)
+		}
+	}
+}

@@ -77,10 +77,19 @@ func newSatRig(tb testing.TB, kind core.Kind) *satRig {
 	return s
 }
 
-// arrive re-buffers p at its home input with a fresh destination.
+// arrive re-buffers p at its home input with a fresh destination the
+// router has a move toward. A destination whose only minimal hops turn
+// back out of the input's own side has none; such packets would wait
+// forever, and once they fill the population the rig measures a router
+// with nothing to do.
 func (s *satRig) arrive(p *packet.Packet) {
-	p.Dst = topology.Node(s.rng.Intn(s.nDests))
 	in, ch := s.home[p.ID], vc.Of(p.Class, vc.Adaptive)
+	for {
+		p.Dst = topology.Node(s.rng.Intn(s.nDests))
+		if c := s.r.candidatesFor(p, in); c.n > 0 {
+			break
+		}
+	}
 	s.up[in].Reserve(ch)
 	s.r.Arrive(p, in, ch, s.now, s.up[in])
 }

@@ -10,6 +10,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 
 	"alpha21364/internal/core"
 	"alpha21364/internal/ports"
@@ -139,6 +140,16 @@ func (c Config) Validate() error {
 	}
 	if c.Window < 1 || c.Window > maxWindow {
 		return fmt.Errorf("router: Window %d outside [1, %d]", c.Window, maxWindow)
+	}
+	for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
+		if n := c.Buffers.Capacity(ch); n < 0 || n > vc.MaxCapacity {
+			return fmt.Errorf("router: channel %v capacity %d outside [0, %d]", ch, n, vc.MaxCapacity)
+		}
+	}
+	// One store holds every input's queues, indexed by uint16 offsets.
+	if n := c.Buffers.Total() * int(ports.NumIn); n > math.MaxUint16 {
+		return fmt.Errorf("router: %d buffers per input × %d inputs exceed the %d a router's queue store can index",
+			c.Buffers.Total(), ports.NumIn, math.MaxUint16)
 	}
 	return nil
 }

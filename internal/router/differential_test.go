@@ -10,6 +10,7 @@ import (
 	"alpha21364/internal/packet"
 	"alpha21364/internal/ports"
 	"alpha21364/internal/sim"
+	"alpha21364/internal/vc"
 )
 
 // diffClock drives a router's cycle in its two halves and, between them,
@@ -76,27 +77,35 @@ func issueDiff(r, ref *Router) string {
 	return ""
 }
 
-// indexDiff checks the router's words against the queues they index.
+// indexDiff checks the router's words against the queues they index, and
+// the queue records against the store they tile.
 func indexDiff(r *Router) string {
-	held := 0
+	held, off := 0, 0
 	for in := ports.In(0); in < ports.NumIn; in++ {
 		for k, ch := range r.lru[in] {
 			if int(r.rank[in][ch]) != k {
 				return fmt.Sprintf("input %v: rank of %v is %d, LRU position %d", in, ch, r.rank[in][ch], k)
 			}
-			busy := r.queues[in][ch].Len() > 0
+			busy := r.queues[in][ch].n > 0
 			if r.busyCh[in]>>ch&1 == 1 != busy || r.busyRank[in]>>k&1 == 1 != busy {
-				return fmt.Sprintf("input %v channel %v: busy bits disagree with queue length %d", in, ch, r.queues[in][ch].Len())
+				return fmt.Sprintf("input %v channel %v: busy bits disagree with queue length %d", in, ch, r.queues[in][ch].n)
 			}
 		}
+		var wantIn ports.OutMask
 		for ch := range r.queues[in] {
-			q, w := &r.queues[in][ch], r.win[in][ch]
-			held += q.Len()
-			limit := min(q.Len(), r.cfg.Window)
+			q := &r.queues[in][ch]
+			if int(q.off) != off || int(q.cap) != r.cfg.Buffers.Capacity(vc.Channel(ch)) ||
+				q.n > q.cap || q.head >= max(q.cap, 1) {
+				return fmt.Sprintf("queue %v/%d: record %+v does not tile the store at offset %d with capacity %d",
+					in, ch, *q, off, r.cfg.Buffers.Capacity(vc.Channel(ch)))
+			}
+			off += int(q.cap)
+			held += int(q.n)
+			limit := min(int(q.n), r.cfg.Window)
 			var want ports.OutMask
 			var nom uint32
 			for i := 0; i < limit; i++ {
-				e := &r.slab.e[q.At(i)]
+				e := &r.slab.e[q.at(r.store, i)]
 				want |= e.cand.outs
 				if e.flags&pkNominated != 0 {
 					nom |= 1 << i
@@ -105,10 +114,17 @@ func indexDiff(r *Router) string {
 					return fmt.Sprintf("queue %v/%d position %d turns old before the oldAt bound", in, ch, i)
 				}
 			}
-			if w.want != want || w.nom != nom {
-				return fmt.Sprintf("queue %v/%d: window %+v, want %b nom %b over %d packets", in, ch, w, want, nom, limit)
+			if q.want != want || q.nom != nom {
+				return fmt.Sprintf("queue %v/%d: window want %b nom %b, want %b nom %b over %d packets", in, ch, q.want, q.nom, want, nom, limit)
 			}
+			wantIn |= want
 		}
+		if r.wantIn[in] != wantIn {
+			return fmt.Sprintf("input %v: wantIn %b, windows want %b", in, r.wantIn[in], wantIn)
+		}
+	}
+	if off != len(r.store) {
+		return fmt.Sprintf("queues tile %d store slots, store has %d", off, len(r.store))
 	}
 	if held != r.held {
 		return fmt.Sprintf("held %d, queues hold %d", r.held, held)

@@ -56,24 +56,24 @@ type Oracle interface {
 func (r *Router) SetOracle(o Oracle) { r.oracle = o }
 
 // QueueLen returns the number of packets buffered on one (input port,
-// virtual channel) ring.
+// virtual channel) queue.
 func (r *Router) QueueLen(in ports.In, ch vc.Channel) int {
-	return r.queues[in][ch].Len()
+	return int(r.queues[in][ch].n)
 }
 
-// ScanOccupied calls f for every non-empty (input port, channel) ring
-// with the ring's occupancy and its front — oldest-buffered — packet's id
+// ScanOccupied calls f for every non-empty (input port, channel) queue
+// with the queue's occupancy and its front — oldest-buffered — packet's id
 // and header-arrival tick. The oracle's deadlock watchdog uses it to name
 // the stuck buffers in its failure report.
 func (r *Router) ScanOccupied(f func(in ports.In, ch vc.Channel, queued int, oldestID uint64, oldestArrive sim.Ticks)) {
 	for in := ports.In(0); in < ports.NumIn; in++ {
 		for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
 			q := &r.queues[in][ch]
-			if q.Len() == 0 {
+			if q.n == 0 {
 				continue
 			}
-			e := &r.slab.e[q.At(0)]
-			f(in, ch, q.Len(), e.pkt.ID, e.headerArrive)
+			e := &r.slab.e[q.at(r.store, 0)]
+			f(in, ch, int(q.n), e.pkt.ID, e.headerArrive)
 		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 
 // refClone copies the state the LA stage reads or writes, including the
 // last wave's matrix, so a reference issue can run beside the production
-// one. Queues share their ring storage: the LA stage never pushes or
+// one. Queues share their handle store: the LA stage never pushes or
 // removes.
 func (r *Router) refClone() *Router {
 	c := *r
@@ -79,17 +79,17 @@ func (r *Router) refFindNomination(in ports.In, now, gaTick sim.Ticks) (int32, m
 	var moves []move
 	for _, ch := range r.lru[in] {
 		q := &r.queues[in][ch]
-		if q.Len() == 0 {
+		if q.n == 0 {
 			continue
 		}
-		limit := q.Len()
+		limit := int(q.n)
 		if limit > r.cfg.Window {
 			limit = r.cfg.Window
 		}
 		best := int32(-1)
 		var bestMove move
 		for i := 0; i < limit; i++ {
-			pk := q.At(i)
+			pk := q.at(r.store, i)
 			r.markOld(pk, now)
 			e := &s.e[pk]
 			if e.flags&pkNominated != 0 || r.eligibleAt(e) > now {
@@ -124,12 +124,12 @@ func (r *Router) refBuildWave(now sim.Ticks) bool {
 	for in := ports.In(0); in < ports.NumIn; in++ {
 		for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
 			q := &r.queues[in][ch]
-			limit := q.Len()
+			limit := int(q.n)
 			if limit > r.cfg.Window {
 				limit = r.cfg.Window
 			}
 			for i := 0; i < limit; i++ {
-				pk := q.At(i)
+				pk := q.at(r.store, i)
 				r.markOld(pk, now)
 				e := &s.e[pk]
 				if e.flags&pkNominated != 0 || r.eligibleAt(e) > now {
@@ -233,7 +233,7 @@ func (r *Router) refNetworkMove(in ports.In, d topology.Dir, targetCh vc.Channel
 	if !op.freeForGrant(gaTick, r.postArbTicks) {
 		return move{}, false
 	}
-	if op.credits == nil || !op.credits.Available(targetCh) {
+	if !r.credits[out].Available(targetCh) {
 		return move{}, false
 	}
 	return move{out: out, row: uint8(row), targetCh: targetCh}, true

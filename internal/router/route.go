@@ -125,14 +125,12 @@ func (r *Router) candidatesFor(p *packet.Packet, in ports.In) candidates {
 func (r *Router) refreshReady(gaTick sim.Ticks) {
 	r.readyOuts = 0
 	for out := range r.outputs {
-		op := &r.outputs[out]
 		var w uint32
-		if op.freeForGrant(gaTick, r.postArbTicks) {
-			switch {
-			case ports.Out(out).IsLocal():
+		if r.outputs[out].freeForGrant(gaTick, r.postArbTicks) {
+			if ports.Out(out).IsLocal() {
 				w = 1
-			case op.credits != nil:
-				w = op.credits.Mask()
+			} else {
+				w = r.credits[out].Mask()
 			}
 		}
 		r.ready[out] = w

@@ -53,11 +53,12 @@ type Router struct {
 	rng   *sim.RNG
 
 	// Packet state lives in a slab of entries; the per-(input port,
-	// channel) queues are fixed-capacity index rings over it, and the
-	// remaining per-input-port state is flattened into router-level
-	// arrays so arbitration scans walk contiguous memory.
+	// channel) queues are packed records over one handle store (see
+	// queue.go), and the remaining per-input-port state is flattened into
+	// router-level arrays so arbitration scans walk contiguous memory.
 	slab   pkSlab
-	queues [ports.NumIn][vc.NumChannels]vc.Ring
+	queues [ports.NumIn][vc.NumChannels]queue
+	store  []int32
 	// lru[in] is the least-recently-selected ordering over virtual
 	// channels: the front (rank 0) is the channel selected longest ago,
 	// and rank[in][ch] is ch's position in it. The 21364's input arbiter
@@ -71,14 +72,18 @@ type Router struct {
 	// selected first.
 	busyCh   [ports.NumIn]uint32
 	busyRank [ports.NumIn]uint32
-	// win[in][ch] indexes queue (in, ch)'s picker window (see window.go).
-	win [ports.NumIn][vc.NumChannels]window
-	// feeders hold the injection credits for local ports (the processor's
-	// view of the buffer's free space); nil for network inputs, whose
-	// credits live at the upstream router's output port.
-	feeders [ports.NumIn]*vc.Credits
+	// wantIn[in] is the union of input in's picker-window wants (see
+	// window.go).
+	wantIn [ports.NumIn]ports.OutMask
 
 	outputs [ports.NumOut]outputPort
+	// credits[out] is network output out's pool of credits for the
+	// downstream router's input buffer; it has none until ConnectNetwork.
+	credits [ports.OutMC0]vc.Credits
+	// feeders[in-InCache] holds local input in's injection credits (the
+	// processor's view of the buffer's free space). Network inputs have
+	// none here: their credits live at the upstream router's output port.
+	feeders [ports.NumIn - ports.InCache]vc.Credits
 	// held is the number of packets buffered at the router.
 	held int
 
@@ -141,10 +146,11 @@ type Router struct {
 	metrics *obs.RouterMetrics
 	flight  *obs.FlightRing
 
-	// scratch
-	gaRows []int
-	gaNet  []bool
-	gaIdx  []int
+	// GA-stage scratch: one output's valid requests (at most one per
+	// input per batch).
+	gaRows [ports.NumIn]int
+	gaNet  [ports.NumIn]bool
+	gaIdx  [ports.NumIn]int
 }
 
 // New builds a router for the given node of the torus.
@@ -168,8 +174,8 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		waveGa = cfg.InitInterval
 	}
 	r.waveGaOffset = sim.Ticks(waveGa) * cfg.RouterPeriod
+	r.store = layoutQueues(&r.queues, cfg.Buffers)
 	for in := ports.In(0); in < ports.NumIn; in++ {
-		initQueues(&r.queues[in], cfg.Buffers)
 		for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
 			r.lru[in][ch] = ch
 			r.rank[in][ch] = uint8(ch)
@@ -177,9 +183,9 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 		for out := ports.Out(0); out < ports.NumOut; out++ {
 			r.rows[in][out] = rowFor(cfg.Conn, in, out)
 		}
-		if !in.IsNetwork() {
-			r.feeders[in] = vc.NewCredits(cfg.Buffers)
-		}
+	}
+	for i := range r.feeders {
+		r.feeders[i].Init(cfg.Buffers)
 	}
 	for row := range r.waveCells {
 		for col := range r.waveCells[row] {
@@ -203,6 +209,9 @@ func New(cfg Config, node topology.Node, torus topology.Torus) (*Router, error) 
 	}
 	switch cfg.Kind {
 	case core.KindSPAABase, core.KindSPAARotary:
+		// Nominations stay in flight ArbCycles-1 cycles, and each LA issue
+		// adds at most one per input.
+		r.noms = make([]nomination, 0, int(ports.NumIn)*((cfg.ArbCycles-1)/cfg.InitInterval+1))
 		if cfg.GrantPolicyFactory != nil {
 			r.policy = cfg.GrantPolicyFactory(ports.NumRows, int(ports.NumOut))
 		} else {
@@ -230,7 +239,7 @@ func (r *Router) ConnectNetwork(out ports.Out, send SendFunc) {
 		panic(fmt.Sprintf("router: %v is not a network port", out))
 	}
 	r.outputs[out].send = send
-	r.outputs[out].credits = vc.NewCredits(r.cfg.Buffers)
+	r.credits[out].Init(r.cfg.Buffers)
 }
 
 // ConnectLocal wires a processor-facing output port to its sink.
@@ -271,14 +280,14 @@ func (r *Router) addPacket(p *packet.Packet, in ports.In, ch vc.Channel,
 		flags:        flags,
 	}
 	q := &r.queues[in][ch]
-	q.Push(idx)
+	q.push(r.store, idx)
 	r.held++
-	if q.Len() == 1 {
+	if q.n == 1 {
 		r.busyCh[in] |= 1 << ch
 		r.busyRank[in] |= 1 << r.rank[in][ch]
 	}
-	if q.Len() <= r.cfg.Window {
-		r.enterWindow(&r.win[in][ch], e)
+	if int(q.n) <= r.cfg.Window {
+		r.enterWindow(in, q, e)
 	}
 	if m := r.metrics; m != nil {
 		m.QueueDelta(in, ch, +1, headerArrive)
@@ -313,7 +322,7 @@ func (r *Router) Inject(p *packet.Packet, in ports.In, now sim.Ticks) bool {
 	if in.IsNetwork() {
 		panic(fmt.Sprintf("router: cannot inject on network port %v", in))
 	}
-	feeder := r.feeders[in]
+	feeder := &r.feeders[in-ports.InCache]
 	ch := r.injectionChannel(p)
 	if !feeder.Available(ch) {
 		return false
@@ -335,16 +344,20 @@ func (r *Router) InjectionSpace(in ports.In, cl packet.Class, dst topology.Node)
 		panic(fmt.Sprintf("router: %v is not a local port", in))
 	}
 	p := packet.Packet{Class: cl, Dst: dst}
-	return r.feeders[in].Free(r.injectionChannel(&p))
+	return r.feeders[in-ports.InCache].Free(r.injectionChannel(&p))
 }
 
-// OutputCredits exposes a network output port's downstream credit pool;
-// used by the network wiring and by tests that exercise backpressure.
+// OutputCredits exposes a network output port's downstream credit pool,
+// or nil before ConnectNetwork wires the port; used by the network wiring
+// and by tests that exercise backpressure.
 func (r *Router) OutputCredits(out ports.Out) *vc.Credits {
 	if !out.IsNetwork() {
 		panic(fmt.Sprintf("router: %v has no credits", out))
 	}
-	return r.outputs[out].credits
+	if r.outputs[out].send == nil {
+		return nil
+	}
+	return &r.credits[out]
 }
 
 // Arrive accepts a packet from an inter-router link. The upstream output
@@ -353,7 +366,7 @@ func (r *Router) OutputCredits(out ports.Out) *vc.Credits {
 // packet leaves this router.
 func (r *Router) Arrive(p *packet.Packet, in ports.In, targetCh vc.Channel,
 	headerArrive sim.Ticks, creditHome *vc.Credits) {
-	if r.queues[in][targetCh].Len() >= r.cfg.Buffers.Capacity(targetCh) {
+	if q := &r.queues[in][targetCh]; q.n >= q.cap {
 		panic(fmt.Sprintf("router %d: buffer overflow on %v/%v — credit accounting broken",
 			r.node, in, targetCh))
 	}
@@ -422,19 +435,23 @@ func (r *Router) issue(now sim.Ticks) {
 	}
 	gaTick := now + r.gaOffset
 	r.refreshReady(gaTick)
-	if r.readyOuts == 0 && now < r.oldAt {
+	aging := now >= r.oldAt
+	if r.readyOuts == 0 && !aging {
 		// No move can be ready and no packet can age: every scan would
 		// come up empty.
 		return
 	}
 	for in := ports.In(0); in < ports.NumIn; in++ {
+		if r.wantIn[in]&r.readyOuts == 0 && !aging {
+			continue
+		}
 		pk, pos, mv, ok := r.findNomination(in, now)
 		if !ok {
 			continue
 		}
 		e := &r.slab.e[pk]
 		e.flags |= pkNominated
-		r.win[in][e.ch].nom |= 1 << pos
+		r.queues[in][e.ch].nom |= 1 << pos
 		r.dirPref[in]++
 		r.noms = append(r.noms, nomination{pk: pk, mv: mv, resolveAt: gaTick})
 		r.Counters.Nominations++
@@ -458,24 +475,24 @@ func (r *Router) issue(now sim.Ticks) {
 // virtual channel (§3). It walks only the non-empty channels, in LRU rank
 // order, skips windows that want no ready output, and visits only the
 // unlocked window positions, testing their moves against the ready words.
-// It returns the packet's queue position with it.
+// It returns the packet's queue position with it. The caller skips an
+// input whose wantIn word has no ready output while no packet can age.
 func (r *Router) findNomination(in ports.In, now sim.Ticks) (int32, int, move, bool) {
 	var mv [3]move
 	for w := r.busyRank[in]; w != 0; w &= w - 1 {
 		ch := r.lru[in][bits.TrailingZeros32(w)]
 		q := &r.queues[in][ch]
-		win := &r.win[in][ch]
-		limit := min(q.Len(), r.cfg.Window)
+		limit := min(int(q.n), r.cfg.Window)
 		drainFrom := r.ageWindow(q, limit, now)
-		if win.want&r.readyOuts == 0 {
+		if q.want&r.readyOuts == 0 {
 			continue
 		}
 		best, bestPos := int32(-1), 0
 		var bestE *pkEntry
 		var bestMove move
-		for c := win.open(limit); c != 0; c &= c - 1 {
+		for c := q.open(limit); c != 0; c &= c - 1 {
 			i := bits.TrailingZeros32(c)
-			pk := q.At(i)
+			pk := q.at(r.store, i)
 			e := &r.slab.e[pk]
 			if !r.eligible(e, i >= drainFrom, now) || (bestE != nil && !olderThan(e, bestE)) {
 				continue
@@ -515,9 +532,7 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 		r.oracleGrants = r.oracleGrants[:0]
 	}
 	for out := ports.Out(0); out < ports.NumOut; out++ {
-		r.gaRows = r.gaRows[:0]
-		r.gaNet = r.gaNet[:0]
-		r.gaIdx = r.gaIdx[:0]
+		rows, net, idxs := r.gaRows[:0], r.gaNet[:0], r.gaIdx[:0]
 		op := &r.outputs[out]
 		for i := range due {
 			n := &due[i]
@@ -525,7 +540,7 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 				continue
 			}
 			valid := op.freeForGrant(now, r.postArbTicks) &&
-				(n.mv.local() || (op.credits != nil && op.credits.Available(n.mv.targetCh)))
+				(n.mv.local() || r.credits[out].Available(n.mv.targetCh))
 			if !valid {
 				if m := r.metrics; m != nil {
 					if !op.freeForGrant(now, r.postArbTicks) {
@@ -539,15 +554,15 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 				n.pk = -1
 				continue
 			}
-			r.gaRows = append(r.gaRows, int(n.mv.row))
-			r.gaNet = append(r.gaNet, r.slab.e[n.pk].in.IsNetwork())
-			r.gaIdx = append(r.gaIdx, i)
+			rows = append(rows, int(n.mv.row))
+			net = append(net, r.slab.e[n.pk].in.IsNetwork())
+			idxs = append(idxs, i)
 		}
-		if len(r.gaRows) == 0 {
+		if len(rows) == 0 {
 			continue
 		}
-		w := r.policy.Select(int(out), r.gaRows, r.gaNet)
-		for k, idx := range r.gaIdx {
+		w := r.policy.Select(int(out), rows, net)
+		for k, idx := range idxs {
 			n := &due[idx]
 			if k == w {
 				if r.oracle != nil {
@@ -579,7 +594,8 @@ func (r *Router) resolveSPAA(due []nomination, now sim.Ticks) {
 func (r *Router) reset(pk int32, now sim.Ticks) {
 	e := &r.slab.e[pk]
 	e.flags &^= pkNominated
-	r.win[e.in][e.ch].nom &^= 1 << r.queues[e.in][e.ch].Index(pk)
+	q := &r.queues[e.in][e.ch]
+	q.nom &^= 1 << q.index(r.store, pk)
 	r.Counters.Collisions++
 	if f := r.flight; f != nil {
 		f.Record(now, obs.FlightReset, e.pkt.ID, e.in, e.ch, ports.NumOut)
@@ -600,24 +616,26 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 		return false
 	}
 	r.refreshReady(now + r.waveGaOffset)
-	if r.readyOuts == 0 && now < r.oldAt {
+	aging := now >= r.oldAt
+	if r.readyOuts == 0 && !aging {
 		return false
 	}
 	any := false
 	var mv [3]move
 	for in := ports.In(0); in < ports.NumIn; in++ {
+		if r.wantIn[in]&r.readyOuts == 0 && !aging {
+			continue
+		}
 		for w := r.busyCh[in]; w != 0; w &= w - 1 {
-			ch := bits.TrailingZeros32(w)
-			q := &r.queues[in][ch]
-			win := &r.win[in][ch]
-			limit := min(q.Len(), r.cfg.Window)
+			q := &r.queues[in][bits.TrailingZeros32(w)]
+			limit := min(int(q.n), r.cfg.Window)
 			drainFrom := r.ageWindow(q, limit, now)
-			if win.want&r.readyOuts == 0 {
+			if q.want&r.readyOuts == 0 {
 				continue
 			}
-			for c := win.open(limit); c != 0; c &= c - 1 {
+			for c := q.open(limit); c != 0; c &= c - 1 {
 				i := bits.TrailingZeros32(c)
-				pk := q.At(i)
+				pk := q.at(r.store, i)
 				e := &r.slab.e[pk]
 				if !r.eligible(e, i >= drainFrom, now) {
 					continue
@@ -657,7 +675,7 @@ func (r *Router) buildWave(now sim.Ticks) bool {
 			cell := &r.waveCells[row][col]
 			e := &r.slab.e[cell.pk]
 			e.flags |= pkNominated
-			r.win[e.in][e.ch].nom |= 1 << cell.pos
+			r.queues[e.in][e.ch].nom |= 1 << cell.pos
 			r.Counters.Nominations++
 			if f := r.flight; f != nil {
 				f.Record(now, obs.FlightNominate, e.pkt.ID, e.in, e.ch, ports.Out(col))
@@ -707,7 +725,7 @@ func (r *Router) resolveWave(now sim.Ticks) {
 		out := ports.Out(g.Col)
 		op := &r.outputs[out]
 		valid := op.freeForGrant(now, r.postArbTicks) &&
-			(out.IsLocal() || (op.credits != nil && op.credits.Available(cell.targetCh)))
+			(out.IsLocal() || r.credits[out].Available(cell.targetCh))
 		if !valid || cell.pk < 0 || r.slab.e[cell.pk].flags&pkNominated == 0 {
 			if m := r.metrics; m != nil && !valid && cell.pk >= 0 {
 				if !op.freeForGrant(now, r.postArbTicks) {
@@ -779,13 +797,13 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, now sim.
 	in, ch := e.in, e.ch
 	r.touchVC(in, ch)
 	q := &r.queues[in][ch]
-	pos := q.Index(pk)
+	pos := q.index(r.store, pk)
 	if pos < 0 {
 		panic("router: removing packet not in queue")
 	}
-	q.RemoveAt(pos)
+	q.removeAt(r.store, pos)
 	r.held--
-	if q.Len() == 0 {
+	if q.n == 0 {
 		r.busyCh[in] &^= 1 << ch
 		r.busyRank[in] &^= 1 << r.rank[in][ch]
 	}
@@ -826,13 +844,14 @@ func (r *Router) dispatch(pk int32, out ports.Out, targetCh vc.Channel, now sim.
 		}
 		op.deliver(p, deliveredAt)
 	} else {
-		op.credits.Reserve(targetCh)
+		cr := &r.credits[out]
+		cr.Reserve(targetCh)
 		op.busyUntil = headerDepart + flits*r.cfg.LinkPeriod
 		p.Hops++
 		if op.send == nil {
 			panic(fmt.Sprintf("router %d: network port %v not connected", r.node, out))
 		}
-		op.send(p, targetCh, headerDepart, op.credits)
+		op.send(p, targetCh, headerDepart, cr)
 	}
 	r.Counters.Grants++
 }

@@ -93,6 +93,33 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("Window=%d accepted", w)
 		}
 	}
+	// Buffer capacities a queue store or credit pool cannot hold must be
+	// rejected by Validate (and so by New) rather than panic in New.
+	buffers := []struct {
+		name string
+		set  func(*vc.Config)
+	}{
+		{"negative deadlock-free capacity", func(b *vc.Config) { b.DeadlockPerClass = -1 }},
+		{"negative special capacity", func(b *vc.Config) { b.SpecialBufs = -1 }},
+		{"negative adaptive capacity", func(b *vc.Config) { b.Adaptive[packet.Forward] = -3 }},
+		{"channel capacity above 65535", func(b *vc.Config) { b.Adaptive[packet.Request] = 1 << 16 }},
+		{"store above 65535 slots", func(b *vc.Config) { b.Adaptive[packet.Request] = 8000 }},
+	}
+	for _, b := range buffers {
+		cfg := DefaultConfig(core.KindSPAARotary)
+		b.set(&cfg.Buffers)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s accepted", b.name)
+		}
+		if _, err := New(cfg, 0, topology.NewTorus(4, 4)); err == nil {
+			t.Errorf("%s: New succeeded", b.name)
+		}
+	}
+	cfg := DefaultConfig(core.KindSPAARotary)
+	cfg.Buffers.Adaptive[packet.Request] = 7900 // 8124 buffers × 8 inputs fits
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("largest storable buffer config rejected: %v", err)
+	}
 }
 
 func TestPinToPinCycles(t *testing.T) {

@@ -2,12 +2,12 @@ package router
 
 // state.go holds the router's per-packet bookkeeping: one slab of
 // fixed-size entries per router, indexed by int32 handles drawn from a
-// free list, with per-(input port, virtual channel) queues as
-// fixed-capacity index rings over the slab. An entry carries everything
-// the arbiter scans read — arrival tick, flags, and the packet's static
-// candidate moves, fixed when it enters the router — in one cache line,
-// and the steady-state router allocates nothing: slab slots and ring
-// storage are recycled as packets dispatch.
+// free list, with per-(input port, virtual channel) queues of handles
+// over it (queue.go). An entry carries everything the arbiter scans read
+// — arrival tick, flags, and the packet's static candidate moves, fixed
+// when it enters the router — in one cache line, and the steady-state
+// router allocates nothing: slab slots and queue slots are recycled as
+// packets dispatch.
 
 import (
 	"alpha21364/internal/packet"
@@ -63,14 +63,6 @@ func (s *pkSlab) release(idx int32) {
 	s.free = append(s.free, idx)
 }
 
-// initQueues sizes one input port's per-channel rings to the configured
-// buffer capacities.
-func initQueues(queues *[vc.NumChannels]vc.Ring, cfg vc.Config) {
-	for ch := vc.Channel(0); ch < vc.NumChannels; ch++ {
-		queues[ch].Init(cfg.Capacity(ch))
-	}
-}
-
 // SendFunc forwards a dispatched packet across a link: the packet leaves
 // this router on a network output port at headerDepart and must appear at
 // the neighbor with the given channel. creditHome is the credit pool to
@@ -81,16 +73,15 @@ type SendFunc func(p *packet.Packet, targetCh vc.Channel, headerDepart sim.Ticks
 // last flit reaches the sink.
 type DeliverFunc func(p *packet.Packet, at sim.Ticks)
 
-// outputPort is one of the seven output ports.
+// outputPort is one of the seven output ports. A network port's credit
+// pool (free buffer space at the downstream router's input port) lives
+// in Router.credits.
 type outputPort struct {
 	// busyUntil is when the port finishes transmitting its current packet;
 	// re-arbitration is possible once all flits are delivered (§2.1).
 	busyUntil sim.Ticks
-	// credits tracks free buffer space at the downstream router's input
-	// port (network ports only).
-	credits *vc.Credits
-	send    SendFunc    // network ports
-	deliver DeliverFunc // local ports
+	send      SendFunc    // network ports
+	deliver   DeliverFunc // local ports
 }
 
 // freeForGrant reports whether the port will have finished its current

@@ -2,10 +2,13 @@ package router
 
 // window.go keeps the words the arbiter scans read in place of per-packet
 // state. Each (input port, channel) queue has a picker window — its first
-// Config.Window packets, the entries the input arbiter examines — and a
-// window record indexing it by queue position; removals shift positions
-// down, so the words shift with them. The router-wide oldAt bound lets a
-// scan skip anti-starvation aging until some window packet can turn old.
+// Config.Window packets, the entries the input arbiter examines — indexed
+// by its queue record's nom and want words (queue.go); removals shift
+// positions down, so the words shift with them. wantIn[in] is the union
+// of input in's window wants, so a scan passes over an input that wants
+// no ready output without loading a queue record. The router-wide oldAt
+// bound lets a scan skip anti-starvation aging until some window packet
+// can turn old.
 
 import (
 	"math"
@@ -16,25 +19,15 @@ import (
 	"alpha21364/internal/vc"
 )
 
-// maxWindow is the widest picker window a window record can index.
+// maxWindow is the widest picker window a queue's nom word can index.
 const maxWindow = 32
 
 // maxTicks is the oldAt bound of a router with no packet that can age.
 const maxTicks = sim.Ticks(math.MaxInt64)
 
-// window indexes one queue's picker window.
-type window struct {
-	// nom has bit i set when the packet at queue position i is locked by
-	// an in-flight nomination or wave.
-	nom uint32
-	// want is the union of the window packets' candidate output ports: a
-	// window that wants no ready output cannot nominate.
-	want ports.OutMask
-}
-
 // open returns the positions among the first limit that a scan visits:
 // those not locked.
-func (w *window) open(limit int) uint32 { return lowBits(limit) &^ w.nom }
+func (q *queue) open(limit int) uint32 { return lowBits(limit) &^ q.nom }
 
 // lowBits returns a word with bits [0, n) set, for n <= 32.
 func lowBits(n int) uint32 { return uint32(uint64(1)<<uint(n) - 1) }
@@ -42,11 +35,12 @@ func lowBits(n int) uint32 { return uint32(uint64(1)<<uint(n) - 1) }
 // dropBit deletes bit p of w, shifting the bits above it down by one.
 func dropBit(w uint32, p int) uint32 { return w&lowBits(p) | w>>uint(p+1)<<uint(p) }
 
-// enterWindow indexes packet e, which has just entered window w: a new
-// arrival, or a packet sliding in behind a departure. A packet enters
-// unlocked, so its nom bit is already clear.
-func (r *Router) enterWindow(w *window, e *pkEntry) {
-	w.want |= e.cand.outs
+// enterWindow indexes packet e, which has just entered the window of
+// queue q on input in: a new arrival, or a packet sliding in behind a
+// departure. A packet enters unlocked, so its nom bit is already clear.
+func (r *Router) enterWindow(in ports.In, q *queue, e *pkEntry) {
+	q.want |= e.cand.outs
+	r.wantIn[in] |= e.cand.outs
 	r.noteAging(e)
 }
 
@@ -56,15 +50,23 @@ func (r *Router) leaveWindow(in ports.In, ch vc.Channel, pos int) {
 	if pos >= r.cfg.Window {
 		return
 	}
-	w := &r.win[in][ch]
-	w.nom = dropBit(w.nom, pos)
 	q := &r.queues[in][ch]
-	w.want = 0
-	for i, limit := 0, min(q.Len(), r.cfg.Window); i < limit; i++ {
-		w.want |= r.slab.e[q.At(i)].cand.outs
+	q.nom = dropBit(q.nom, pos)
+	was := q.want
+	q.want = 0
+	for i, limit := 0, min(int(q.n), r.cfg.Window); i < limit; i++ {
+		q.want |= r.slab.e[q.at(r.store, i)].cand.outs
 	}
-	if q.Len() >= r.cfg.Window {
-		r.enterWindow(w, &r.slab.e[q.At(r.cfg.Window-1)])
+	if was&^q.want != 0 {
+		// The window lost an output; the input's union may have too.
+		var want ports.OutMask
+		for w := r.busyCh[in]; w != 0; w &= w - 1 {
+			want |= r.queues[in][bits.TrailingZeros32(w)].want
+		}
+		r.wantIn[in] = want
+	}
+	if int(q.n) >= r.cfg.Window {
+		r.enterWindow(in, q, &r.slab.e[q.at(r.store, r.cfg.Window-1)])
 	}
 }
 
@@ -73,7 +75,7 @@ func (r *Router) leaveWindow(in ports.In, ch vc.Channel, pos int) {
 // packet before testing it would. It returns the first window position
 // the drain filter covers: 0 if the router was already draining, the
 // position whose aging started the drain, or limit if neither.
-func (r *Router) ageWindow(q *vc.Ring, limit int, now sim.Ticks) int {
+func (r *Router) ageWindow(q *queue, limit int, now sim.Ticks) int {
 	drainFrom := limit
 	if r.draining {
 		drainFrom = 0
@@ -82,7 +84,7 @@ func (r *Router) ageWindow(q *vc.Ring, limit int, now sim.Ticks) int {
 		return drainFrom
 	}
 	for i := 0; i < limit; i++ {
-		r.markOld(q.At(i), now)
+		r.markOld(q.at(r.store, i), now)
 		if r.draining && i < drainFrom {
 			drainFrom = i
 		}
@@ -100,8 +102,8 @@ func (r *Router) settleOldAt(now sim.Ticks) {
 	for in := ports.In(0); in < ports.NumIn; in++ {
 		for w := r.busyCh[in]; w != 0; w &= w - 1 {
 			q := &r.queues[in][bits.TrailingZeros32(w)]
-			for i, limit := 0, min(q.Len(), r.cfg.Window); i < limit; i++ {
-				r.noteAging(&r.slab.e[q.At(i)])
+			for i, limit := 0, min(int(q.n), r.cfg.Window); i < limit; i++ {
+				r.noteAging(&r.slab.e[q.at(r.store, i)])
 			}
 		}
 	}

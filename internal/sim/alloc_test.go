@@ -50,3 +50,31 @@ func TestEngineSelfReschedulingAllocs(t *testing.T) {
 		t.Fatalf("self-rescheduling dispatch allocates %.2f/op, want 0", allocs)
 	}
 }
+
+// TestWheelAllocGrowsByChunk pins the node pool's growth: warming the
+// wheel up to n in-flight events costs one allocation per nodeChunk
+// nodes, not one per node.
+func TestWheelAllocGrowsByChunk(t *testing.T) {
+	const n = 300
+	var w timerWheel
+	seen := make(map[*eventNode]bool, n)
+	allocs := testing.AllocsPerRun(5, func() {
+		w = timerWheel{}
+		clear(seen)
+		for i := 0; i < n; i++ {
+			nd := w.alloc()
+			if seen[nd] {
+				t.Fatalf("node %d handed out twice", i)
+			}
+			seen[nd] = true
+		}
+	})
+	if want := float64((n + nodeChunk - 1) / nodeChunk); allocs > want {
+		t.Fatalf("warming %d nodes allocates %.0f times, want at most %.0f", n, allocs, want)
+	}
+	nd := w.alloc()
+	w.release(nd)
+	if w.alloc() != nd {
+		t.Fatal("a released node is not reused first")
+	}
+}

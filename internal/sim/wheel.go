@@ -129,22 +129,33 @@ type timerWheel struct {
 	nOverdue  int
 
 	free *eventNode
+	// chunk is the unused rest of the last block of nodes allocated.
+	chunk []eventNode
 }
+
+// nodeChunk is how many event nodes the wheel allocates at a time.
+const nodeChunk = 64
 
 // pending reports whether any event is queued.
 func (w *timerWheel) pending() bool {
 	return w.count > 0 || w.nOverflow > 0 || w.nOverdue > 0
 }
 
-// alloc takes a node from the free list, or allocates one the first time
-// the queue grows past its high-water mark.
+// alloc takes a node from the free list or, the first time the queue
+// grows past its high-water mark, from the current block, allocating a
+// block of nodeChunk when that runs out.
 func (w *timerWheel) alloc() *eventNode {
 	if n := w.free; n != nil {
 		w.free = n.next
 		n.next = nil
 		return n
 	}
-	return &eventNode{}
+	if len(w.chunk) == 0 {
+		w.chunk = make([]eventNode, nodeChunk)
+	}
+	n := &w.chunk[0]
+	w.chunk = w.chunk[1:]
+	return n
 }
 
 // release recycles a dispatched node.

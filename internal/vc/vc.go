@@ -11,6 +11,7 @@ package vc
 
 import (
 	"fmt"
+	"math"
 
 	"alpha21364/internal/packet"
 )
@@ -154,23 +155,40 @@ func (c Config) Total() int {
 // is held by the sender side of a link (an upstream output port or a local
 // injection port), mirroring credit-based flow control: a credit is
 // consumed when a packet is dispatched toward the buffer and returned when
-// the packet later leaves that buffer.
+// the packet later leaves that buffer. The zero Credits has no credit on
+// any channel; size it with Init. Counts are uint16, so a pool fits in 44
+// bytes and the router embeds its pools in its own state.
 type Credits struct {
-	free [NumChannels]int
+	free [NumChannels]uint16
 	// avail mirrors free as a word: bit ch set ⇔ free[ch] > 0.
 	avail uint32
 }
 
+// MaxCapacity is the largest per-channel capacity a Credits pool counts.
+const MaxCapacity = math.MaxUint16
+
 // NewCredits returns a credit tracker initialized to the capacities in cfg.
 func NewCredits(cfg Config) *Credits {
 	cr := &Credits{}
+	cr.Init(cfg)
+	return cr
+}
+
+// Init sets every channel's free count to its capacity in cfg. It panics
+// on a capacity outside [0, MaxCapacity]; router.Config.Validate rejects
+// such configurations before any pool is built.
+func (cr *Credits) Init(cfg Config) {
+	cr.avail = 0
 	for ch := Channel(0); ch < NumChannels; ch++ {
-		cr.free[ch] = cfg.Capacity(ch)
-		if cr.free[ch] > 0 {
+		c := cfg.Capacity(ch)
+		if c < 0 || c > MaxCapacity {
+			panic(fmt.Sprintf("vc: channel %v capacity %d outside [0, %d]", ch, c, MaxCapacity))
+		}
+		cr.free[ch] = uint16(c)
+		if c > 0 {
 			cr.avail |= 1 << ch
 		}
 	}
-	return cr
 }
 
 // Available reports whether at least one packet buffer is free on ch.
@@ -182,13 +200,13 @@ func (cr *Credits) Available(ch Channel) bool { return cr.free[ch] > 0 }
 func (cr *Credits) Mask() uint32 { return cr.avail }
 
 // Free returns the number of free packet buffers on ch.
-func (cr *Credits) Free(ch Channel) int { return cr.free[ch] }
+func (cr *Credits) Free(ch Channel) int { return int(cr.free[ch]) }
 
 // Reserve consumes one credit on ch; it panics if none are available
 // (callers must check Available first — over-reserving would correspond to
 // dropping a packet, which the 21364 never does).
 func (cr *Credits) Reserve(ch Channel) {
-	if cr.free[ch] <= 0 {
+	if cr.free[ch] == 0 {
 		panic(fmt.Sprintf("vc: reserve on exhausted channel %v", ch))
 	}
 	cr.free[ch]--
@@ -207,12 +225,9 @@ func (cr *Credits) Release(ch Channel) {
 // configured capacity — that would indicate a double release.
 func (cr *Credits) CheckBounds(cfg Config) {
 	for ch := Channel(0); ch < NumChannels; ch++ {
-		if cr.free[ch] > cfg.Capacity(ch) {
+		if free := int(cr.free[ch]); free > cfg.Capacity(ch) {
 			panic(fmt.Sprintf("vc: channel %v has %d free credits, capacity %d",
-				ch, cr.free[ch], cfg.Capacity(ch)))
-		}
-		if cr.free[ch] < 0 {
-			panic(fmt.Sprintf("vc: channel %v has negative credits", ch))
+				ch, free, cfg.Capacity(ch)))
 		}
 	}
 }

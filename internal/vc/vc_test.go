@@ -119,6 +119,26 @@ func TestCreditsReserveRelease(t *testing.T) {
 	cr.CheckBounds(cfg)
 }
 
+func TestNewCreditsRejectsUncountableCapacity(t *testing.T) {
+	for _, c := range []int{-1, MaxCapacity + 1} {
+		cfg := uniformConfig(1)
+		cfg.SpecialBufs = c
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCredits with capacity %d did not panic", c)
+				}
+			}()
+			NewCredits(cfg)
+		}()
+	}
+	cfg := uniformConfig(1)
+	cfg.SpecialBufs = MaxCapacity
+	if got := NewCredits(cfg).Free(NumChannels - 1); got != MaxCapacity {
+		t.Errorf("Free = %d at capacity %d", got, MaxCapacity)
+	}
+}
+
 func TestCreditsReservePanicsWhenExhausted(t *testing.T) {
 	cr := NewCredits(uniformConfig(1))
 	ch := Of(packet.Forward, VC1)

@@ -102,3 +102,32 @@ func TestShardedInjectionAllocs(t *testing.T) {
 		t.Fatal("no transactions completed; the workload never ran")
 	}
 }
+
+// TestCoherenceTxnGrowsByChunk pins the transaction pool's growth:
+// opening n transactions at once costs one allocation per txnChunk, not
+// one per transaction, and a finished transaction is reused first.
+func TestCoherenceTxnGrowsByChunk(t *testing.T) {
+	const n = 300
+	c := NewCoherence()
+	seen := make(map[*coherenceTxn]bool, n)
+	allocs := testing.AllocsPerRun(5, func() {
+		c.freeTxns, c.txnSpare = nil, nil
+		clear(seen)
+		for i := 0; i < n; i++ {
+			txn := c.newTxn()
+			if seen[txn] {
+				t.Fatalf("transaction %d handed out twice", i)
+			}
+			seen[txn] = true
+		}
+	})
+	if want := float64((n + txnChunk - 1) / txnChunk); allocs > want {
+		t.Fatalf("opening %d transactions allocates %.0f times, want at most %.0f", n, allocs, want)
+	}
+	txn := c.newTxn()
+	txn.twoHop = true
+	c.freeTxns = append(c.freeTxns, txn)
+	if got := c.newTxn(); got != txn || got.twoHop {
+		t.Fatal("a finished transaction is not reused first, reset")
+	}
+}

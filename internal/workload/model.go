@@ -77,6 +77,7 @@ type Coherence struct {
 	l2Latency sim.Ticks
 	txns      map[uint64]*coherenceTxn
 	freeTxns  []*coherenceTxn
+	txnSpare  []coherenceTxn // unused rest of the last block allocated
 	nextTxn   uint64
 	// memH and ownerH are the registered protocol-step handlers: the home
 	// memory/directory response and the owner's L2 response. Both carry
@@ -105,7 +106,12 @@ func (c *Coherence) Bind(env *Env) {
 	c.ownerH = env.Eng.RegisterHandler(c.ownerStep)
 }
 
-// newTxn draws a transaction from the free pool.
+// txnChunk is how many transactions Coherence allocates at a time.
+const txnChunk = 64
+
+// newTxn draws a transaction from the free pool or, when it is empty,
+// from the current block, allocating a block of txnChunk when that runs
+// out.
 func (c *Coherence) newTxn() *coherenceTxn {
 	if n := len(c.freeTxns); n > 0 {
 		t := c.freeTxns[n-1]
@@ -113,7 +119,12 @@ func (c *Coherence) newTxn() *coherenceTxn {
 		*t = coherenceTxn{}
 		return t
 	}
-	return &coherenceTxn{}
+	if len(c.txnSpare) == 0 {
+		c.txnSpare = make([]coherenceTxn, txnChunk)
+	}
+	t := &c.txnSpare[0]
+	c.txnSpare = c.txnSpare[1:]
+	return t
 }
 
 func (c *Coherence) InFlight() int { return len(c.txns) }
